@@ -42,8 +42,17 @@ def _load_json(arg: str):
 
 
 def _emit(data):
-    json.dump(data, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(data, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the flush at
+        # interpreter exit does not fail again (see the SIGPIPE note in
+        # the signal module's documentation); the exit code stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_newton(args) -> int:
@@ -213,6 +222,10 @@ def run(argv) -> int:
         return 2
     except (ValueError, KeyError, TypeError) as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 2
+    except ZeroDivisionError as e:
+        print(f"input error: zero denominator in a rational value ({e})",
+              file=sys.stderr)
         return 2
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .puiseux import PuiseuxElement
+from .puiseux import PuiseuxElement, val_diff
 from .valq import INF
 
 
@@ -86,7 +86,7 @@ def join(x, y):
     sx, sy = _radius(x), _radius(y)
     if x == y:
         return x
-    s = min(sx, sy, (_center(x) - _center(y)).valuation())
+    s = min(sx, sy, val_diff(_center(x), _center(y)))
     return Type2(_center(x), Fraction(s))
 
 
@@ -141,9 +141,6 @@ class RationalFunction:
             )
         return RationalFunction(lead_val, tuple(norm))
 
-    def finite_roots(self):
-        return self.factors
-
     def order_at_infinity(self) -> int:
         return -sum(m for _, m in self.factors)
 
@@ -171,5 +168,5 @@ def eval_val(f: RationalFunction, x: Type2) -> Fraction:
         raise TypeError("eval_val needs a type-2 point")
     total = f.lead_val
     for root, mult in f.factors:
-        total += mult * min((x.center - root).valuation(), x.s)
+        total += mult * min(val_diff(x.center, root), x.s)
     return total

@@ -6,6 +6,13 @@ valuation of an element is its least exponent; val(0) = +inf.  This ring is
 closed under +, -, * and is the concrete stand-in for the valued field:
 everything downstream consumes only valuations of sums and products of
 explicitly given elements.
+
+``val_diff(a, b)`` is the single valuation-of-a-difference primitive: it
+answers val(a - b) by walking the two term sequences side by side, without
+building a - b.  Ball containment, joins, ``eval_val`` and ray slopes go
+through it.  The arithmetic operators merge terms that are already
+canonical; ``PuiseuxElement.from_terms`` canonicalises parsed and generated
+input.
 """
 
 from __future__ import annotations
@@ -39,11 +46,12 @@ class PuiseuxElement:
 
     @staticmethod
     def constant(c) -> "PuiseuxElement":
-        return PuiseuxElement.from_terms([(Fraction(0), Fraction(c))])
+        return PuiseuxElement.monomial(c, 0)
 
     @staticmethod
     def monomial(coeff, exp) -> "PuiseuxElement":
-        return PuiseuxElement.from_terms([(Fraction(exp), Fraction(coeff))])
+        coeff = Fraction(coeff)
+        return PuiseuxElement(((Fraction(exp), coeff),) if coeff else ())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -55,21 +63,23 @@ class PuiseuxElement:
         return self.terms[0][0]
 
     def __add__(self, other: "PuiseuxElement") -> "PuiseuxElement":
-        return PuiseuxElement.from_terms(self.terms + other.terms)
+        return PuiseuxElement(_merge(self.terms, other.terms, 1))
 
     def __neg__(self) -> "PuiseuxElement":
         return PuiseuxElement(tuple((q, -c) for q, c in self.terms))
 
     def __sub__(self, other: "PuiseuxElement") -> "PuiseuxElement":
-        return self + (-other)
+        return PuiseuxElement(_merge(self.terms, other.terms, -1))
 
     def __mul__(self, other: "PuiseuxElement") -> "PuiseuxElement":
-        prods = [
-            (q1 + q2, c1 * c2)
-            for q1, c1 in self.terms
-            for q2, c2 in other.terms
-        ]
-        return PuiseuxElement.from_terms(prods)
+        acc: dict[Fraction, Fraction] = {}
+        for q1, c1 in self.terms:
+            for q2, c2 in other.terms:
+                q = q1 + q2
+                c = acc.get(q)
+                acc[q] = c1 * c2 if c is None else c + c1 * c2
+        return PuiseuxElement(tuple(sorted(
+            (q, c) for q, c in acc.items() if c)))
 
     def truncate_below(self, s: Fraction) -> "PuiseuxElement":
         """Drop every monomial t^q with q >= s (center reduction mod radius)."""
@@ -92,6 +102,49 @@ class PuiseuxElement:
                     parts.append(f"{coeff}t^({q})")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+def _merge(x, y, sign):
+    """Terms of x + sign*y for canonical term tuples x, y (sign is +-1):
+    one pass in exponent order, dropping coefficients that cancel."""
+    out = []
+    i = j = 0
+    nx, ny = len(x), len(y)
+    while i < nx and j < ny:
+        p, c = x[i]
+        q, d = y[j]
+        if p < q:
+            out.append(x[i])
+            i += 1
+        elif q < p:
+            out.append(y[j] if sign > 0 else (q, -d))
+            j += 1
+        else:
+            e = c + d if sign > 0 else c - d
+            if e:
+                out.append((p, e))
+            i += 1
+            j += 1
+    out.extend(x[i:])
+    out.extend(y[j:] if sign > 0 else ((q, -d) for q, d in y[j:]))
+    return tuple(out)
+
+
+def val_diff(a: PuiseuxElement, b: PuiseuxElement):
+    """val(a - b) without building a - b: the least exponent at which the
+    two sorted term sequences differ, or +inf when a == b."""
+    x, y = a.terms, b.terms
+    for u, v in zip(x, y):
+        if u != v:
+            # same exponent and different coefficients, or the smaller
+            # exponent is a term of one side only
+            return min(u[0], v[0])
+    n = min(len(x), len(y))
+    if len(x) > n:
+        return x[n][0]
+    if len(y) > n:
+        return y[n][0]
+    return INF
 
 
 _TERM_RE = re.compile(

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .metric_graph import MetricGraph
 from .points import INFINITY, Type1, Type2, join
-from .puiseux import PuiseuxElement
+from .puiseux import PuiseuxElement, val_diff
 
 
 def puncture_label(p: Type1) -> str:
@@ -29,12 +29,12 @@ def _point_key(x: Type2):
 def _contains(outer: Type2, inner: Type2) -> bool:
     """Ball containment: outer >= inner."""
     return outer.s <= inner.s and (
-        (outer.center - inner.center).valuation() >= outer.s
+        val_diff(outer.center, inner.center) >= outer.s
     )
 
 
 def _contains_type1(outer: Type2, value: PuiseuxElement) -> bool:
-    return (outer.center - value).valuation() >= outer.s
+    return val_diff(outer.center, value) >= outer.s
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .metric_graph import PLFunction
 from .points import INFINITY, RationalFunction, Type1, Type2, eval_val
-from .puiseux import PuiseuxElement
+from .puiseux import PuiseuxElement, val_diff
 from .skeleton import SkeletonTree, retract
 
 
@@ -44,18 +44,14 @@ def _ray_slope(f: RationalFunction, tree: SkeletonTree, base: str,
     base_pt = tree.placement[base]
     if target.is_infinity():
         # ray parametrized by decreasing s below the root
-        breaks = [
-            (base_pt.center - root).valuation() for root, _ in f.factors
-        ]
+        breaks = [val_diff(base_pt.center, root) for root, _ in f.factors]
         s0 = min([base_pt.s] + [b for b in breaks if b != float("inf")],
                  default=base_pt.s) - 1
         g0 = eval_val(f, Type2(base_pt.center, s0))
         g1 = eval_val(f, Type2(base_pt.center, s0 - 1))
         return _as_int(g1 - g0, "ray slope")
     a = target.value
-    breaks = [
-        (a - root).valuation() for root, _ in f.factors if root != a
-    ]
+    breaks = [val_diff(a, root) for root, _ in f.factors if root != a]
     s0 = max([base_pt.s] + breaks) + 1
     g0 = eval_val(f, Type2(a, s0))
     g1 = eval_val(f, Type2(a, s0 + 1))

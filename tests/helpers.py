@@ -1,9 +1,48 @@
-"""Shared test oracles: brute-force tree membership and nearest-point search."""
+"""Shared test oracles: brute-force tree membership and nearest-point
+search, and the canonicalising Puiseux arithmetic that the merge-based
+operators and ``val_diff`` replace."""
 
 from fractions import Fraction
 
 from skeletron.points import Type2, path_distance
+from skeletron.puiseux import PuiseuxElement
 from skeletron.skeleton import SkeletonTree
+from skeletron.valq import INF
+
+
+def ref_add(x: PuiseuxElement, y: PuiseuxElement) -> PuiseuxElement:
+    return PuiseuxElement.from_terms(x.terms + y.terms)
+
+
+def ref_sub(x: PuiseuxElement, y: PuiseuxElement) -> PuiseuxElement:
+    return ref_add(x, PuiseuxElement(tuple((q, -c) for q, c in y.terms)))
+
+
+def ref_mul(x: PuiseuxElement, y: PuiseuxElement) -> PuiseuxElement:
+    return PuiseuxElement.from_terms(
+        (q1 + q2, c1 * c2) for q1, c1 in x.terms for q2, c2 in y.terms
+    )
+
+
+def ref_join(x, y):
+    """Join of two finite points by the formula
+    min(s_x, s_y, val(center_x - center_y)), with a full subtraction."""
+    if x == y:
+        return x
+    sx = x.s if isinstance(x, Type2) else INF
+    sy = y.s if isinstance(y, Type2) else INF
+    cx = x.center if isinstance(x, Type2) else x.value
+    cy = y.center if isinstance(y, Type2) else y.value
+    return Type2(cx, Fraction(min(sx, sy, ref_sub(cx, cy).valuation())))
+
+
+def ref_eval_val(f, x: Type2):
+    """lead_val + sum_i mult_i * min(val(b - a_i), s), with full
+    subtractions."""
+    return f.lead_val + sum(
+        mult * min(ref_sub(x.center, root).valuation(), x.s)
+        for root, mult in f.factors
+    )
 
 
 def on_tree(p: Type2, tree: SkeletonTree) -> bool:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skeletron
 from skeletron import io_json
 from skeletron.cli import run
 from skeletron.metric_graph import MetricGraph
@@ -133,3 +138,46 @@ def test_tate_roundtrip(graph_kind, capsys):
     assert run(["tate", f"--val-j={arg}"]) == 0
     g = io_json.graph_from_json(json.loads(capsys.readouterr().out))
     assert io_json.graph_from_json(io_json.graph_to_json(g)) == g
+
+
+def test_zero_denominator_exit_2(capsys):
+    assert run(["tate", "--val-j=1/0"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: zero denominator")
+    bad_s = {"type": 2, "center": [], "s": "1/0"}
+    assert run(["eval", "--f", json.dumps(T_FUNC), "--point",
+                json.dumps(bad_s)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: zero denominator")
+    bad_coeff = {"lead_val": "0",
+                 "factors": [{"root": [{"exp": "1", "coeff": "1/0"}],
+                              "mult": 1}]}
+    point = {"type": 2, "center": [], "s": "1"}
+    assert run(["eval", "--f", json.dumps(bad_coeff), "--point",
+                json.dumps(point)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: zero denominator")
+    assert err.count("\n") == 1
+
+
+def test_closed_pipe_no_traceback():
+    # about 100 kB of output: more than a pipe holds, so the command is
+    # still writing when the reader closes its end
+    punctures = [
+        {"type": 1, "value": [{"exp": str(k), "coeff": "1"},
+                              {"exp": str(k + 1 + j), "coeff": "1"}]}
+        for k in range(8) for j in range(25)
+    ]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(skeletron.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skeletron.cli", "skeleton",
+         "--punctures", json.dumps(punctures)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err

@@ -16,8 +16,14 @@ from skeletron.points import (
     path_distance,
 )
 from skeletron.puiseux import PuiseuxElement, parse_element
-from skeletron.randfix import rand_rational_function, rand_type2
+from skeletron.randfix import (
+    rand_puiseux,
+    rand_rational_function,
+    rand_type2,
+)
 from skeletron.valq import INF
+
+from helpers import ref_eval_val, ref_join
 
 ZERO = PuiseuxElement.zero()
 t = PuiseuxElement.monomial(1, 1)
@@ -135,3 +141,17 @@ def test_eval_val_matches_recentering_oracle():
         f = rand_rational_function(rng)
         x = rand_type2(rng)
         assert eval_val(f, x) == eval_val_newton(f, x)
+
+
+def test_join_and_eval_val_match_reference_formulas():
+    rng = random.Random(7)
+    for _ in range(400):
+        x, y = rand_type2(rng), rand_type2(rng)
+        near = Type2(x.center + rand_puiseux(rng), rng.randint(-4, 12))
+        a, b = Type1(rand_puiseux(rng)), Type1(x.center)
+        for p, q in ((x, y), (x, near), (near, x), (x, x), (x, a), (a, x),
+                     (a, b), (b, x)):
+            assert join(p, q) == ref_join(p, q)
+        f = rand_rational_function(rng)
+        for pt in (x, near, Type2(f.factors[0][0], x.s)):
+            assert eval_val(f, pt) == ref_eval_val(f, pt)

@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from skeletron.puiseux import (
     PuiseuxElement,
     element_from_json,
     element_to_json,
     parse_element,
+    val_diff,
 )
 from skeletron.valq import INF
+
+from helpers import ref_add, ref_mul, ref_sub
 
 t = PuiseuxElement.monomial(1, 1)
 one = PuiseuxElement.constant(1)
@@ -101,3 +104,48 @@ def test_ring_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
     assert x * y == y * x
+
+
+small = st.fractions(max_denominator=4, min_value=-6, max_value=6)
+term_lists = st.lists(st.tuples(small, small), max_size=4)
+# exponents above every exponent of `small`: a tail on one side only
+tail_lists = st.lists(
+    st.tuples(st.fractions(max_denominator=4, min_value=7, max_value=10),
+              small),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def element_pairs(draw):
+    """(x, y) built around a common part that y carries with either sign,
+    so equal pairs, zero operands, leading terms that cancel under + or -
+    and one-sided tails all come up often."""
+    common = draw(term_lists)
+    sign = draw(st.sampled_from((1, -1)))
+    x = PuiseuxElement.from_terms(common + draw(term_lists))
+    y = PuiseuxElement.from_terms(
+        [(q, sign * c) for q, c in common]
+        + draw(st.one_of(term_lists, tail_lists))
+    )
+    return draw(st.sampled_from(((x, y), (y, x))))
+
+
+Z = PuiseuxElement.zero()
+X = parse_element("1 - t + 2*t^2")
+
+
+@given(element_pairs())
+@example((Z, Z))
+@example((X, X))
+@example((X, Z))
+@example((Z, X))
+@example((X, -X))
+@example((X, parse_element("1 - t + 2*t^2 + t^8")))
+@example((X, parse_element("-1 + t^3")))
+def test_fast_arithmetic_matches_reference(pair):
+    x, y = pair
+    assert val_diff(x, y) == ref_sub(x, y).valuation()
+    assert (x + y).terms == ref_add(x, y).terms
+    assert (x - y).terms == ref_sub(x, y).terms
+    assert (x * y).terms == ref_mul(x, y).terms
