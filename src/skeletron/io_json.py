@@ -1,39 +1,25 @@
 """JSON encoding/decoding for all interchange types.
 
-Rationals travel as "p/q" strings, never floats; infinite interval ends as
-"+inf"/"-inf"; the point at infinity as the string "inf".
+Rationals travel as "p/q" strings, never JSON numbers; the point at
+infinity as the string "inf".
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .metric_graph import MetricGraph, PLFunction
-from .newton import Interval, TropicalLaurent
+from .newton import TropicalLaurent
 from .points import INFINITY, RationalFunction, Type1, Type2
-from .puiseux import PuiseuxElement, element_from_json, element_to_json
+from .puiseux import element_from_json, element_to_json
 from .skeleton import SkeletonTree
 from .slopes import SlopeReport
 from .stable import StabilizationReport
-from .valq import format_rational, parse_extended, parse_rational
-
-
-def trop_to_json(f: TropicalLaurent) -> dict:
-    return {"terms": [{"n": n, "v": format_rational(v)} for n, v in f.terms]}
+from .valq import format_rational, parse_rational
 
 
 def trop_from_json(data) -> TropicalLaurent:
     return TropicalLaurent.from_terms(
         (t["n"], parse_rational(t["v"])) for t in data["terms"]
     )
-
-
-def interval_to_json(i: Interval) -> dict:
-    return {"lo": format_rational(i.lo), "hi": format_rational(i.hi)}
-
-
-def interval_from_json(data) -> Interval:
-    return Interval(parse_extended(data["lo"]), parse_extended(data["hi"]))
 
 
 def point_to_json(x) -> dict:
@@ -72,7 +58,7 @@ def function_from_json(data) -> RationalFunction:
             INFINITY if fac["root"] == "inf"
             else element_from_json(fac["root"])
         )
-        factors.append((root, int(fac["mult"])))
+        factors.append((root, fac["mult"]))
     return RationalFunction.make(parse_rational(data["lead_val"]), factors)
 
 

@@ -22,7 +22,7 @@ class MetricGraph:
 
     @staticmethod
     def make(vertices, edges=(), rays=()) -> "MetricGraph":
-        vs = tuple((str(i), int(w)) for i, w in vertices)
+        vs = tuple((str(i), w) for i, w in vertices)
         es = tuple((str(u), str(v), Fraction(l)) for u, v, l in edges)
         rs = tuple((str(b), str(m)) for b, m in rays)
         ids = [i for i, _ in vs]
@@ -30,6 +30,8 @@ class MetricGraph:
             raise ValueError("duplicate vertex ids")
         idset = set(ids)
         for i, w in vs:
+            if type(w) is not int:  # also rejects a JSON true or false
+                raise ValueError(f"weight {w!r} at {i} is not an integer")
             if w < 0:
                 raise ValueError(f"negative weight at {i}")
         for u, v, l in es:

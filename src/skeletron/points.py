@@ -121,7 +121,8 @@ class RationalFunction:
         seen = []
         inf_mult = None
         for root, mult in factors:
-            mult = int(mult)
+            if type(mult) is not int:  # also rejects a JSON true or false
+                raise ValueError(f"multiplicity {mult!r} is not an integer")
             if mult == 0:
                 raise ValueError("zero multiplicity in factor list")
             if root is INFINITY:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .valq import INF, format_rational
+from .valq import INF, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -214,5 +214,5 @@ def element_to_json(x: PuiseuxElement) -> list[dict]:
 
 def element_from_json(data) -> PuiseuxElement:
     return PuiseuxElement.from_terms(
-        (Fraction(d["exp"]), Fraction(d["coeff"])) for d in data
+        (parse_rational(d["exp"]), parse_rational(d["coeff"])) for d in data
     )

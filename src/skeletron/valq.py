@@ -16,7 +16,11 @@ def is_finite(v) -> bool:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact rational."""
+    """Parse 'p/q' or 'p' into an exact rational.  Anything but a string,
+    a JSON number included, is rejected: a float would arrive as a binary
+    fraction."""
+    if not isinstance(s, str):
+        raise ValueError(f"rational {s!r} must be a 'p/q' string")
     return Fraction(s.strip())
 
 

@@ -1,12 +1,15 @@
 """Shared test oracles: brute-force tree membership and nearest-point
-search, and the canonicalising Puiseux arithmetic that the merge-based
-operators and ``val_diff`` replace."""
+search, the canonicalising Puiseux arithmetic that the merge-based
+operators and ``val_diff`` replace, and the rescan-and-rebuild
+stabilization that the worklist in ``stable.stabilize`` replaces."""
 
 from fractions import Fraction
 
+from skeletron.metric_graph import MetricGraph, euler_char
 from skeletron.points import Type2, path_distance
 from skeletron.puiseux import PuiseuxElement
 from skeletron.skeleton import SkeletonTree
+from skeletron.stable import CHI_ZERO_DIAGNOSTIC, StabilizationReport
 from skeletron.valq import INF
 
 
@@ -89,3 +92,93 @@ def grid_points(tree: SkeletonTree, step=Fraction(1, 4), ray_extent=8):
 def brute_nearest(x: Type2, tree: SkeletonTree, step=Fraction(1, 4)):
     """Grid minimizer of the path distance from x to the tree."""
     return min(grid_points(tree, step), key=lambda p: path_distance(x, p))
+
+
+def _valence1_candidates(g: MetricGraph):
+    """Weight-0 vertices whose single incidence is one non-loop edge.
+
+    A vertex whose only incidence is a ray is excluded: its unique
+    neighbor is a marking.
+    """
+    out = []
+    for v, w in g.vertices:
+        if w != 0 or g.valence(v) != 1:
+            continue
+        if any(b == v for b, _ in g.rays):
+            continue
+        out.append(v)
+    return out
+
+
+def _valence2_candidates(g: MetricGraph):
+    """Weight-0 vertices with exactly two distinct non-loop incident
+    segments (edges or rays), not both of them rays."""
+    out = []
+    for v, w in g.vertices:
+        if w != 0 or g.valence(v) != 2:
+            continue
+        if any(u == v == x for u, x, _ in g.edges):
+            continue  # the two directions come from a loop
+        n_rays = sum(1 for b, _ in g.rays if b == v)
+        if n_rays == 2:
+            continue  # both far endpoints are markings
+        out.append(v)
+    return out
+
+
+def _apply_valence1(g: MetricGraph, v: str) -> MetricGraph:
+    edges = [e for e in g.edges if v not in e[:2]]
+    vertices = tuple(x for x in g.vertices if x[0] != v)
+    return MetricGraph.make(vertices, edges, g.rays)
+
+
+def _apply_valence2(g: MetricGraph, v: str) -> MetricGraph:
+    inc = [i for i, (a, b, _) in enumerate(g.edges) if v in (a, b)]
+    vertices = tuple(x for x in g.vertices if x[0] != v)
+    edges = [e for i, e in enumerate(g.edges) if i not in inc]
+    rays = list(g.rays)
+    if len(inc) == 2:
+        # merge two edges through v into one of summed length
+        (a1, b1, l1) = g.edges[inc[0]]
+        (a2, b2, l2) = g.edges[inc[1]]
+        y1 = b1 if a1 == v else a1
+        y2 = b2 if a2 == v else a2
+        edges.append((y1, y2, l1 + l2))
+    else:
+        # one edge and one ray: the ray absorbs the edge
+        (a, b, _) = g.edges[inc[0]]
+        y = b if a == v else a
+        k = next(i for i, (base, _) in enumerate(rays) if base == v)
+        rays[k] = (y, rays[k][1])
+    return MetricGraph.make(vertices, edges, rays)
+
+
+def _ref_prune_step(g: MetricGraph):
+    apply = {"valence1": _apply_valence1, "valence2": _apply_valence2}
+    for rule, pick in (
+        ("valence1", _valence1_candidates(g)),
+        ("valence2", _valence2_candidates(g)),
+    ):
+        if pick:
+            v = min(pick)
+            return apply[rule](g, v), rule, v
+    return None
+
+
+def ref_stabilize(g: MetricGraph) -> StabilizationReport:
+    """Stabilization by a full candidate rescan and a rebuilt, re-validated
+    graph after every prune: cubic, kept as the reference for the
+    worklist in ``stable.stabilize``."""
+    chi = euler_char(g)
+    if chi >= 0:
+        raise ValueError(CHI_ZERO_DIAGNOSTIC if chi == 0 else
+                         f"Euler characteristic {chi} > 0: no skeleton")
+    steps = []
+    cur = g
+    while True:
+        step = _ref_prune_step(cur)
+        if step is None:
+            break
+        cur, rule, v = step
+        steps.append((rule, v))
+    return StabilizationReport(input=g, output=cur, steps=tuple(steps), chi=chi)

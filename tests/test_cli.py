@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -181,3 +182,65 @@ def test_closed_pipe_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err
+
+
+# Valid inputs whose every rational travels as a "p/q" string and every
+# weight and multiplicity as a JSON integer.
+VALID_INPUTS = {
+    "stabilize": {"--graph": {
+        "vertices": [{"id": "a", "w": 0}],
+        "edges": [{"u": "a", "v": "a", "len": "1/10"}],
+        "rays": [{"base": "a", "mark": "m"}],
+    }},
+    "eval": {
+        "--f": {"lead_val": "0", "factors": [
+            {"root": [{"exp": "1", "coeff": "1"}], "mult": 1},
+            {"root": "inf", "mult": -1},
+        ]},
+        "--point": {"type": 2, "center": [{"exp": "1", "coeff": "2"}],
+                    "s": "1"},
+    },
+    "newton": {"--f": {"terms": [{"n": 0, "v": "1"}, {"n": 1, "v": "0"}]},
+               "--interval": "0,3"},
+}
+
+
+def _cli_args(command, option=None, doc=None):
+    args = [command]
+    for opt, val in VALID_INPUTS[command].items():
+        val = doc if opt == option else val
+        args += [opt, val if isinstance(val, str) else json.dumps(val)]
+    return args
+
+
+MISTYPED_CASES = [
+    ("stabilize", "--graph", ("edges", 0, "len"), 0.1),
+    ("stabilize", "--graph", ("vertices", 0, "w"), 1.5),
+    ("stabilize", "--graph", ("vertices", 0, "w"), True),
+    ("eval", "--point", ("s",), 1),
+    ("eval", "--point", ("center", 0, "exp"), 1),
+    ("eval", "--point", ("center", 0, "coeff"), 0.5),
+    ("eval", "--f", ("lead_val",), 0),
+    ("eval", "--f", ("factors", 0, "root", 0, "exp"), 1.5),
+    ("eval", "--f", ("factors", 0, "root", 0, "coeff"), 2),
+    ("eval", "--f", ("factors", 0, "mult"), 1.5),
+    ("eval", "--f", ("factors", 0, "mult"), True),
+    ("newton", "--f", ("terms", 0, "v"), 1),
+]
+
+
+@pytest.mark.parametrize("command, option, path, bad", MISTYPED_CASES, ids=[
+    f"{c}-{'.'.join(map(str, p))}={b!r}" for c, _, p, b in MISTYPED_CASES
+])
+def test_mistyped_field_exit_2(command, option, path, bad, capsys):
+    assert run(_cli_args(command)) == 0
+    capsys.readouterr()
+    doc = copy.deepcopy(VALID_INPUTS[command][option])
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    assert run(_cli_args(command, option, doc)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert repr(bad) in err

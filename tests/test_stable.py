@@ -1,16 +1,19 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import ref_stabilize
+from skeletron.io_json import stabilization_report_to_json
 from skeletron.metric_graph import (
     MetricGraph,
     euler_char,
     is_isomorphic,
     total_genus,
 )
-from skeletron.randfix import confluence_family
+from skeletron.randfix import confluence_family, rand_metric_graph
 from skeletron.stable import (
     CHI_ZERO_DIAGNOSTIC,
     abstract_tropicalization,
@@ -214,3 +217,119 @@ def test_stabilize_conservation_and_termination():
         )
         assert len(rep.steps) <= len(g.vertices)
         assert len(rep.output.vertices) == len(g.vertices) - len(rep.steps)
+
+
+CORES = (
+    # (vertex count, edges, rays) of a stable core
+    (2, [(0, 1), (0, 1), (0, 1)], []),  # theta
+    (2, [(0, 0), (0, 1)], [(1, "m0")]),  # loop with a marked tail
+    (2, [(0, 0), (1, 1), (0, 1)], []),  # dumbbell
+    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], []),  # K4
+)
+
+
+def subdivided_graph(rng, size):
+    """A stable core with every edge subdivided at least once, plus
+    pendant chains and trees, some ending in a marking or a weight-1
+    vertex.  The input has no loops, so every loop of the output comes
+    from merging two parallel edges; rays at pendant ends absorb the
+    edges that lead to them; ids v0, v1, ... are shuffled, and "v10"
+    sorts before "v2"."""
+    n, core_edges, core_rays = rng.choice(CORES)
+    rays = list(core_rays)
+    edges = []
+
+    def add(a, b):
+        if rng.random() < 0.5:
+            a, b = b, a
+        edges.append((a, b, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+
+    cuts = [1] * len(core_edges)
+    for _ in range((size - n) // 2 - len(core_edges)):
+        cuts[rng.randrange(len(cuts))] += 1
+    for (u, v), k in zip(core_edges, cuts):
+        prev = u
+        for _ in range(k):
+            add(prev, n)
+            prev, n = n, n + 1
+        add(prev, v)
+    weighted = set()
+    while n < size:
+        attach = rng.randrange(n)
+        chain = rng.random() < 0.5
+        for i in range(min(rng.randint(1, 6), size - n)):
+            parent = attach if i == 0 else (n - 1 if chain else
+                                            rng.randint(n - i, n - 1))
+            add(parent, n)
+            n += 1
+        roll = rng.random()
+        if roll < 0.3:
+            rays.append((n - 1, f"m{len(rays) + 1}"))
+        elif roll < 0.4:
+            weighted.add(n - 1)
+    names = [f"v{i}" for i in rng.sample(range(n), n)]
+    return MetricGraph.make(
+        [(names[i], int(i in weighted)) for i in range(n)],
+        [(names[a], names[b], l) for a, b, l in edges],
+        [(names[b], m) for b, m in rays],
+    )
+
+
+def chi_nonnegative_graphs():
+    return [
+        MetricGraph.make([("v", 0)], [("v", "v", 5)]),
+        MetricGraph.make([("v", 0)], rays=[("v", "0"), ("v", "inf")]),
+        MetricGraph.make([("v", 0)]),
+        MetricGraph.make([("a", 0), ("b", 0)], [("a", "b", 1)], [("b", "p")]),
+        MetricGraph.make(  # a subdivided circle
+            [(f"v{i}", 0) for i in range(12)],
+            [(f"v{i}", f"v{(i + 1) % 12}", i + 1) for i in range(12)],
+        ),
+        MetricGraph.make([("a", 1), ("b", 0)], [("a", "b", 2)]),
+    ]
+
+
+def _outcome(stabilize_fn, g):
+    """Steps and report JSON, or the ValueError message."""
+    try:
+        rep = stabilize_fn(g)
+    except ValueError as e:
+        return "ValueError", str(e)
+    return rep.steps, json.dumps(stabilization_report_to_json(rep))
+
+
+def _family(name):
+    if name == "confluence":
+        return confluence_family(random.Random(5), count=120)
+    if name == "random":
+        rng = random.Random(23)
+        return [rand_metric_graph(rng, max_vertices=8) for _ in range(300)]
+    if name == "subdivided":
+        rng = random.Random(41)
+        return [subdivided_graph(rng, rng.randint(20, 110))
+                for _ in range(16)]
+    return chi_nonnegative_graphs()
+
+
+@pytest.mark.parametrize(
+    "family", ["confluence", "random", "subdivided", "chi_nonnegative"]
+)
+def test_stabilize_matches_reference(family):
+    graphs = _family(family)
+    for g in graphs:
+        assert _outcome(stabilize, g) == _outcome(ref_stabilize, g)
+    if family == "chi_nonnegative":
+        assert all(_outcome(stabilize, g)[0] == "ValueError" for g in graphs)
+
+
+def test_subdivided_family_covers_loops_rays_and_string_order():
+    loops = moved_rays = string_order = 0
+    for g in _family("subdivided"):
+        rep = stabilize(g)
+        loops += any(u == v for u, v, _ in rep.output.edges)
+        moved_rays += set(rep.output.rays) != set(g.rays)
+        removed = [v for _, v in rep.steps]
+        string_order += sorted(removed) != sorted(
+            removed, key=lambda v: int(v[1:])
+        )
+    assert loops and moved_rays and string_order
