@@ -42,7 +42,6 @@ from .randfix import (
     confluence_family,
     punctures_of,
     rand_metric_graph,
-    rand_monomial,
     rand_rational,
     rand_rational_function,
     rand_roots,
@@ -58,7 +57,6 @@ from .stable import (
     stabilize,
     tate_skeleton,
 )
-from .valq import INF
 
 
 def _timed(budget_s, fn):

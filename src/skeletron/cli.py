@@ -220,8 +220,11 @@ def run(argv) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, TypeError) as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 2
+    except KeyError as e:
+        print(f"input error: missing field {e.args[0]!r}", file=sys.stderr)
         return 2
     except ZeroDivisionError as e:
         print(f"input error: zero denominator in a rational value ({e})",

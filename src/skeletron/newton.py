@@ -59,7 +59,8 @@ class TropicalLaurent:
     def from_terms(pairs) -> "TropicalLaurent":
         acc: dict[int, Fraction] = {}
         for n, v in pairs:
-            n = int(n)
+            if type(n) is not int:  # also rejects a JSON true or false
+                raise ValueError(f"exponent {n!r} is not an integer")
             v = Fraction(v)
             # two monomials of the same exponent: the smaller valuation wins
             # generically; keep the min (tropical sum)

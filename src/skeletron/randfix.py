@@ -23,20 +23,21 @@ def rand_monomial(rng: random.Random, den_max=4) -> PuiseuxElement:
 
 
 def rand_puiseux(rng: random.Random, max_terms=3) -> PuiseuxElement:
+    """Up to max_terms draws of a coefficient (numerator, then a nonzero
+    one's denominator) and an exponent; a zero numerator adds no term."""
     terms = []
     for _ in range(rng.randint(0, max_terms)):
         num = rng.randint(-6, 6)
         if num:
-            terms.append(
-                (Fraction(rng.randint(-4, 8), rng.randint(1, 4)),
-                 Fraction(num, rng.randint(1, 3)))
-            )
+            coeff = Fraction(num, rng.randint(1, 4))
+            terms.append((Fraction(rng.randint(-4, 8), rng.randint(1, 4)),
+                          coeff))
     return PuiseuxElement.from_terms(terms)
 
 
 def rand_type2(rng: random.Random) -> Type2:
-    return Type2(rand_puiseux(rng), Fraction(rng.randint(-12, 20),
-                                             rng.randint(1, 4)))
+    return Type2(rand_puiseux(rng, max_terms=2),
+                 Fraction(rng.randint(-12, 20), rng.randint(1, 4)))
 
 
 def rand_roots(rng: random.Random, max_roots=6, allow_zero=True):

@@ -6,6 +6,13 @@ pairwise joins, with one ray per puncture.  Vertices are balls nested under
 containment; the root is the smallest ball containing every finite anchor,
 and the ray toward infinity (when infinity is a puncture) leaves the tree
 through the root.
+
+The vertex set is closed under joins, and ``v0, v1, ...`` number it in
+``_point_key`` order, radius first.  So ``v0`` is the root, a vertex's
+parent is the nearest earlier vertex that contains it, and the ray toward
+a finite puncture starts at the last vertex that contains it.  Every
+vertex contains an anchor, and the retraction is the identity on the
+tree, so ``retract`` costs one join per anchor.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .metric_graph import MetricGraph
-from .points import INFINITY, Type1, Type2, join
+from .points import Type1, Type2, join
 from .puiseux import PuiseuxElement, val_diff
 
 
@@ -46,7 +53,7 @@ class SkeletonTree:
     has_infinity: bool
 
     def root_id(self) -> str:
-        return min(self.placement, key=lambda v: _point_key(self.placement[v]))
+        return "v0"
 
     def root_point(self) -> Type2:
         return self.placement[self.root_id()]
@@ -88,34 +95,24 @@ def build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     placement = {f"v{i}": p for i, p in enumerate(placed)}
     ids = list(placement)
 
-    # parent = deepest strictly-containing ball
+    # the balls containing a vertex form a chain of smaller radii, so the
+    # nearest earlier one that contains it is its parent
     edges = []
-    for vid in ids:
-        p = placement[vid]
-        best = None
-        for uid in ids:
-            if uid == vid:
-                continue
-            q = placement[uid]
-            if q != p and _contains(q, p):
-                if best is None or placement[best].s < q.s:
-                    best = uid
-        if best is not None:
-            edges.append((best, vid, p.s - placement[best].s))
+    for k in range(1, len(placed)):
+        p = placed[k]
+        j = next(j for j in range(k - 1, -1, -1) if _contains(placed[j], p))
+        edges.append((ids[j], ids[k], p.s - placed[j].s))
 
     rays = []
     ray_target = {}
-    root = min(ids, key=lambda v: _point_key(placement[v]))
     for p in punctures:
         label = puncture_label(p)
         if p.is_infinity():
-            base = root
-        else:
-            containing = [
-                v for v in ids if _contains_type1(placement[v], p.value)
-            ]
-            base = max(containing, key=lambda v: placement[v].s)
-        rays.append((base, label))
+            base = 0
+        else:  # the deepest ball containing the puncture
+            base = next(j for j in range(len(placed) - 1, -1, -1)
+                        if _contains_type1(placed[j], p.value))
+        rays.append((ids[base], label))
         ray_target[label] = p
 
     graph = MetricGraph.make(
@@ -142,19 +139,7 @@ def retract(x, tree: SkeletonTree):
                 base = next(b for b, m in tree.graph.rays if m == label)
                 return tree.placement[base]
 
-    candidates = list(tree.anchors) + list(tree.placement.values())
-    best = None
-    for c in candidates:
-        if c == x:
-            continue
-        j = join(x, c)
-        if isinstance(j, Type1):
-            continue
-        if best is None or j.s > best.s:
-            best = j
-    if best is None:
-        # x coincides with the unique anchor; fall back to the root
-        return tree.root_point()
+    best = max((join(x, a) for a in tree.anchors), key=lambda j: j.s)
     if not tree.has_infinity:
         rp = tree.root_point()
         if best.s < rp.s:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .metric_graph import PLFunction
-from .points import INFINITY, RationalFunction, Type1, Type2, eval_val
-from .puiseux import PuiseuxElement, val_diff
+from .points import RationalFunction, Type1, Type2, eval_val
+from .puiseux import val_diff
+from .randfix import rand_type2
 from .skeleton import SkeletonTree, retract
 
 
@@ -96,21 +97,6 @@ class SlopeReport:
     verdict: bool
 
 
-def _random_type2(rng: random.Random) -> Type2:
-    n_terms = rng.randint(0, 2)
-    terms = []
-    for _ in range(n_terms):
-        num = rng.randint(-6, 6)
-        if num == 0:
-            continue
-        den = rng.randint(1, 4)
-        exp = Fraction(rng.randint(-4, 8), rng.randint(1, 4))
-        terms.append((exp, Fraction(num, den)))
-    center = PuiseuxElement.from_terms(terms)
-    s = Fraction(rng.randint(-12, 20), rng.randint(1, 4))
-    return Type2(center, s)
-
-
 def verify_slope_formula(
     f: RationalFunction,
     tree: SkeletonTree,
@@ -122,18 +108,14 @@ def verify_slope_formula(
     F = compute_F(f, tree)
     g = tree.graph
 
-    harmonicity = {}
-    for v in g.vertex_ids():
-        total = 0
-        for i, (a, b, _) in enumerate(g.edges):
-            if a == b == v:  # loop: both directions, summing to zero
-                continue
-            if v in (a, b):
-                total += F.slope_from(i, v)
-        for base, mark in g.rays:
-            if base == v:
-                total += F.ray_slopes[mark]
-        harmonicity[v] = total
+    # each edge leaves u with its slope and v with the opposite one, so a
+    # loop adds nothing
+    harmonicity = dict.fromkeys(g.vertex_ids(), 0)
+    for i, (u, v, _) in enumerate(g.edges):
+        harmonicity[u] += F.edge_slopes[i]
+        harmonicity[v] -= F.edge_slopes[i]
+    for base, mark in g.rays:
+        harmonicity[base] += F.ray_slopes[mark]
 
     ray_checks = []
     for base, mark in g.rays:
@@ -144,7 +126,7 @@ def verify_slope_formula(
     rng = random.Random(seed)
     sample_rows = []
     for _ in range(samples):
-        x = _random_type2(rng)
+        x = rand_type2(rng)
         fx = eval_val(f, x)
         tau = retract(x, tree)
         ftau = eval_val(f, tau)

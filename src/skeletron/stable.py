@@ -13,7 +13,8 @@ and ray counts per vertex) and keeps one min-heap of vertex ids per rule,
 with stale entries skipped when popped.  A prune updates only the one or
 two neighbours it touches and pushes a neighbour again when it starts to
 qualify, so the whole reduction costs O((V + E) log V) instead of a rescan
-and a rebuild of the graph per prune.
+and a rebuild of the graph per prune.  ``apply_prune`` and ``prune_step``
+make their single move on the same index.
 """
 
 from __future__ import annotations
@@ -64,31 +65,74 @@ def _rule(w: int, valence: int, loops: int, rays: int):
     return None
 
 
-def _apply_valence1(g: MetricGraph, v: str) -> MetricGraph:
-    edges = [e for e in g.edges if v not in e[:2]]
-    vertices = tuple(x for x in g.vertices if x[0] != v)
-    return MetricGraph.make(vertices, edges, g.rays)
+class _PruneIndex:
+    """A graph under pruning: live vertices, edges keyed by a growing id
+    (so dict order is edge order), incident edge ids and counts per
+    vertex, and the ray list."""
 
+    def __init__(self, g: MetricGraph):
+        self.vertices = g.vertices
+        self.weight = dict(g.vertices)  # live vertices
+        self.counts = _counts(g)
+        self.edges = dict(enumerate(g.edges))
+        self.incident = {v: set() for v in self.weight}
+        for i, (a, b, _) in self.edges.items():
+            self.incident[a].add(i)
+            self.incident[b].add(i)
+        self.rays = list(g.rays)
+        self.ray_at = {v: [] for v in self.weight}
+        for k, (b, _) in enumerate(self.rays):
+            self.ray_at[b].append(k)
+        self.next_id = len(self.edges)
 
-def _apply_valence2(g: MetricGraph, v: str) -> MetricGraph:
-    inc = [i for i, (a, b, _) in enumerate(g.edges) if v in (a, b)]
-    vertices = tuple(x for x in g.vertices if x[0] != v)
-    edges = [e for i, e in enumerate(g.edges) if i not in inc]
-    rays = list(g.rays)
-    if len(inc) == 2:
-        # merge two edges through v into one of summed length
-        (a1, b1, l1) = g.edges[inc[0]]
-        (a2, b2, l2) = g.edges[inc[1]]
-        y1 = b1 if a1 == v else a1
-        y2 = b2 if a2 == v else a2
-        edges.append((y1, y2, l1 + l2))
-    else:
+    def rule(self, v):
+        """The prune rule that applies at a live vertex v, or None."""
+        w = self.weight.get(v)
+        return None if w is None else _rule(w, *self.counts[v])
+
+    def _remove_edge(self, i, v):
+        """Drop edge i at v; return its other endpoint and its length."""
+        a, b, length = self.edges.pop(i)
+        for x in (a, b):
+            self.incident[x].discard(i)
+            self.counts[x][0] -= 1
+        self.counts[a][1] -= a == b
+        return (b if a == v else a), length
+
+    def prune(self, rule, v):
+        """Apply rule at v; return the neighbours that may now qualify."""
+        del self.weight[v]
+        ids = sorted(self.incident[v])
+        if rule == VALENCE1:
+            y, _ = self._remove_edge(ids[0], v)
+            return (y,)
+        if len(ids) == 2:
+            # merge two edges through v into one of summed length; y1 and
+            # y2 keep their counts, or gain a loop if y1 == y2, so neither
+            # can start to qualify
+            y1, l1 = self._remove_edge(ids[0], v)
+            y2, l2 = self._remove_edge(ids[1], v)
+            i, self.next_id = self.next_id, self.next_id + 1
+            self.edges[i] = (y1, y2, l1 + l2)
+            for x in (y1, y2):
+                self.incident[x].add(i)
+                self.counts[x][0] += 1
+            self.counts[y1][1] += y1 == y2
+            return ()
         # one edge and one ray: the ray absorbs the edge
-        (a, b, _) = g.edges[inc[0]]
-        y = b if a == v else a
-        k = next(i for i, (base, _) in enumerate(rays) if base == v)
-        rays[k] = (y, rays[k][1])
-    return MetricGraph.make(vertices, edges, rays)
+        y, _ = self._remove_edge(ids[0], v)
+        k = self.ray_at[v][0]
+        self.rays[k] = (y, self.rays[k][1])
+        self.ray_at[y].append(k)
+        self.counts[y][0] += 1
+        self.counts[y][2] += 1
+        return (y,)
+
+    def graph(self) -> MetricGraph:
+        return MetricGraph.make(
+            [x for x in self.vertices if x[0] in self.weight],
+            self.edges.values(), self.rays,
+        )
 
 
 def prune_candidates(g: MetricGraph):
@@ -102,11 +146,12 @@ def prune_candidates(g: MetricGraph):
 
 
 def apply_prune(g: MetricGraph, rule: str, v: str) -> MetricGraph:
-    if rule == VALENCE1:
-        return _apply_valence1(g, v)
-    if rule == VALENCE2:
-        return _apply_valence2(g, v)
-    raise ValueError(f"unknown rule {rule}")
+    """The graph after one prune move; ValueError unless it applies."""
+    index = _PruneIndex(g)
+    if rule is None or index.rule(v) != rule:
+        raise ValueError(f"rule {rule!r} does not apply at vertex {v!r}")
+    index.prune(rule, v)
+    return index.graph()
 
 
 def prune_step(g: MetricGraph):
@@ -120,8 +165,7 @@ def prune_step(g: MetricGraph):
 
 
 def is_stable(g: MetricGraph) -> bool:
-    counts = _counts(g)
-    return all(w > 0 or counts[v][0] >= 3 for v, w in g.vertices)
+    return minimal_vertex_characterization(g) == set(g.vertex_ids())
 
 
 @dataclass(frozen=True)
@@ -146,18 +190,9 @@ def stabilize(g: MetricGraph) -> StabilizationReport:
     if chi >= 0:
         raise ValueError(CHI_ZERO_DIAGNOSTIC if chi == 0 else
                          f"Euler characteristic {chi} > 0: no skeleton")
-    weight = dict(g.vertices)  # live vertices
-    counts = _counts(g)
-    # edge id -> edge; ids only grow, so dict order is the edge order
-    edges = dict(enumerate(g.edges))
-    incident = {v: set() for v in weight}
-    for i, (a, b, _) in edges.items():
-        incident[a].add(i)
-        incident[b].add(i)
-    rays = list(g.rays)
-    ray_at = {v: [] for v in weight}
-    for k, (b, _) in enumerate(rays):
-        ray_at[b].append(k)
+    index = _PruneIndex(g)
+    # the rule test of index.rule, inlined in the hot loop
+    weight, counts = index.weight, index.counts
     heaps = {VALENCE1: [], VALENCE2: []}
 
     def push(v):
@@ -173,26 +208,9 @@ def stabilize(g: MetricGraph) -> StabilizationReport:
                 return v
         return None
 
-    def add_edge(i, a, b, length):
-        edges[i] = (a, b, length)
-        for x in (a, b):
-            incident[x].add(i)
-            counts[x][0] += 1
-        counts[a][1] += a == b
-
-    def remove_edge(i, v):
-        """Drop edge i at v; return its other endpoint and its length."""
-        a, b, length = edges.pop(i)
-        for x in (a, b):
-            incident[x].discard(i)
-            counts[x][0] -= 1
-        counts[a][1] -= a == b
-        return (b if a == v else a), length
-
     for v in weight:
         push(v)
     steps = []
-    next_id = len(edges)
     while True:
         rule = VALENCE1
         v = pop(VALENCE1)
@@ -202,31 +220,9 @@ def stabilize(g: MetricGraph) -> StabilizationReport:
             if v is None:
                 break
         steps.append((rule, v))
-        del weight[v]
-        ids = sorted(incident[v])
-        if rule == VALENCE1:
-            y, _ = remove_edge(ids[0], v)
+        for y in index.prune(rule, v):
             push(y)
-        elif len(ids) == 2:
-            # merge two edges through v into one of summed length
-            y1, l1 = remove_edge(ids[0], v)
-            y2, l2 = remove_edge(ids[1], v)
-            add_edge(next_id, y1, y2, l1 + l2)
-            next_id += 1
-            # y1 and y2 keep their counts, or gain a loop if y1 == y2:
-            # neither can start to qualify
-        else:
-            # one edge and one ray: the ray absorbs the edge
-            y, _ = remove_edge(ids[0], v)
-            k = ray_at[v][0]
-            rays[k] = (y, rays[k][1])
-            ray_at[y].append(k)
-            counts[y][0] += 1
-            counts[y][2] += 1
-            push(y)
-    out = MetricGraph.make(
-        [x for x in g.vertices if x[0] in weight], edges.values(), rays
-    )
+    out = index.graph()
     if not is_stable(out):
         raise AssertionError("pruning stopped before stability")
     return StabilizationReport(input=g, output=out, steps=tuple(steps), chi=chi)

@@ -11,10 +11,6 @@ INF = float("inf")
 NEG_INF = float("-inf")
 
 
-def is_finite(v) -> bool:
-    return isinstance(v, Fraction)
-
-
 def parse_rational(s: str) -> Fraction:
     """Parse 'p/q' or 'p' into an exact rational.  Anything but a string,
     a JSON number included, is rejected: a float would arrive as a binary

@@ -1,14 +1,24 @@
 """Shared test oracles: brute-force tree membership and nearest-point
 search, the canonicalising Puiseux arithmetic that the merge-based
-operators and ``val_diff`` replace, and the rescan-and-rebuild
-stabilization that the worklist in ``stable.stabilize`` replaces."""
+operators and ``val_diff`` replace, the all-pairs skeleton builder and
+retraction that the radius-order rules in ``skeleton`` replace, the
+retraction sampler that ``randfix.rand_type2`` replaces, and the
+rescan-and-rebuild stabilization that the incidence index in ``stable``
+replaces."""
 
+import random
 from fractions import Fraction
 
 from skeletron.metric_graph import MetricGraph, euler_char
-from skeletron.points import Type2, path_distance
+from skeletron.points import Type1, Type2, join, path_distance
 from skeletron.puiseux import PuiseuxElement
-from skeletron.skeleton import SkeletonTree
+from skeletron.skeleton import (
+    SkeletonTree,
+    _contains,
+    _contains_type1,
+    _point_key,
+    puncture_label,
+)
 from skeletron.stable import CHI_ZERO_DIAGNOSTIC, StabilizationReport
 from skeletron.valq import INF
 
@@ -46,6 +56,124 @@ def ref_eval_val(f, x: Type2):
         mult * min(ref_sub(x.center, root).valuation(), x.s)
         for root, mult in f.factors
     )
+
+
+def ref_build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
+    """Skeleton tree with each parent found by scanning every vertex and
+    each ray base by a second full scan."""
+    punctures = list(punctures)
+    if len(punctures) < 2:
+        raise ValueError("need at least two punctures to span a skeleton")
+    if len(set(map(puncture_label, punctures))) != len(punctures):
+        raise ValueError("punctures must be pairwise distinct")
+    finite = [p for p in punctures if not p.is_infinity()]
+    has_inf = len(finite) < len(punctures)
+
+    anchors = list(finite) + [Type2(v.center, v.s) for v in extra_vertices]
+    points: dict[tuple, Type2] = {}
+
+    def add(pt: Type2):
+        points.setdefault(_point_key(pt), pt)
+
+    for i in range(len(anchors)):
+        for j in range(i + 1, len(anchors)):
+            add(join(anchors[i], anchors[j]))
+    for v in extra_vertices:
+        add(v)
+    if len(finite) == 1:
+        add(Type2(finite[0].value, Fraction(0)))
+
+    placed = sorted(points.values(), key=_point_key)
+    placement = {f"v{i}": p for i, p in enumerate(placed)}
+    ids = list(placement)
+
+    # parent = deepest strictly-containing ball
+    edges = []
+    for vid in ids:
+        p = placement[vid]
+        best = None
+        for uid in ids:
+            if uid == vid:
+                continue
+            q = placement[uid]
+            if q != p and _contains(q, p):
+                if best is None or placement[best].s < q.s:
+                    best = uid
+        if best is not None:
+            edges.append((best, vid, p.s - placement[best].s))
+
+    rays = []
+    ray_target = {}
+    root = min(ids, key=lambda v: _point_key(placement[v]))
+    for p in punctures:
+        label = puncture_label(p)
+        if p.is_infinity():
+            base = root
+        else:
+            containing = [
+                v for v in ids if _contains_type1(placement[v], p.value)
+            ]
+            base = max(containing, key=lambda v: placement[v].s)
+        rays.append((base, label))
+        ray_target[label] = p
+
+    graph = MetricGraph.make([(vid, 0) for vid in ids], edges, rays)
+    return SkeletonTree(
+        graph=graph,
+        placement=placement,
+        ray_target=ray_target,
+        anchors=tuple(anchors),
+        has_infinity=has_inf,
+    )
+
+
+def ref_retract(x, tree: SkeletonTree):
+    """Deepest join of x with every anchor and every tree vertex other
+    than x itself, clipped to the root when infinity is no puncture.  It
+    differs from ``skeleton.retract`` only at an extra vertex with no other
+    anchor below it, which this sends to its parent."""
+    if isinstance(x, Type1):
+        if x.is_infinity():
+            return tree.root_point()
+        for label, target in tree.ray_target.items():
+            if x == target:
+                base = next(b for b, m in tree.graph.rays if m == label)
+                return tree.placement[base]
+
+    candidates = list(tree.anchors) + list(tree.placement.values())
+    best = None
+    for c in candidates:
+        if c == x:
+            continue
+        j = join(x, c)
+        if isinstance(j, Type1):
+            continue
+        if best is None or j.s > best.s:
+            best = j
+    if best is None:
+        return tree.root_point()
+    if not tree.has_infinity:
+        rp = tree.root_point()
+        if best.s < rp.s:
+            return rp
+    return best
+
+
+def ref_random_type2(rng: random.Random) -> Type2:
+    """Retraction sample in the draw order ``slopes`` used before it
+    called ``randfix.rand_type2``."""
+    n_terms = rng.randint(0, 2)
+    terms = []
+    for _ in range(n_terms):
+        num = rng.randint(-6, 6)
+        if num == 0:
+            continue
+        den = rng.randint(1, 4)
+        exp = Fraction(rng.randint(-4, 8), rng.randint(1, 4))
+        terms.append((exp, Fraction(num, den)))
+    center = PuiseuxElement.from_terms(terms)
+    s = Fraction(rng.randint(-12, 20), rng.randint(1, 4))
+    return Type2(center, s)
 
 
 def on_tree(p: Type2, tree: SkeletonTree) -> bool:

@@ -226,6 +226,8 @@ MISTYPED_CASES = [
     ("eval", "--f", ("factors", 0, "mult"), 1.5),
     ("eval", "--f", ("factors", 0, "mult"), True),
     ("newton", "--f", ("terms", 0, "v"), 1),
+    ("newton", "--f", ("terms", 1, "n"), 1.5),
+    ("newton", "--f", ("terms", 1, "n"), True),
 ]
 
 
@@ -244,3 +246,25 @@ def test_mistyped_field_exit_2(command, option, path, bad, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert repr(bad) in err
+
+
+MISSING_CASES = [
+    ("eval", "--point", ("center", 0), "exp"),
+    ("eval", "--point", (), "s"),
+    ("eval", "--f", ("factors", 0), "mult"),
+    ("stabilize", "--graph", ("edges", 0), "len"),
+    ("newton", "--f", ("terms", 1), "n"),
+]
+
+
+@pytest.mark.parametrize("command, option, path, key", MISSING_CASES, ids=[
+    f"{c}-{'.'.join(map(str, p + (k,)))}" for c, _, p, k in MISSING_CASES
+])
+def test_missing_field_exit_2(command, option, path, key, capsys):
+    doc = copy.deepcopy(VALID_INPUTS[command][option])
+    target = doc
+    for step in path:
+        target = target[step]
+    del target[key]
+    assert run(_cli_args(command, option, doc)) == 2
+    assert capsys.readouterr().err == f"input error: missing field '{key}'\n"

@@ -11,7 +11,6 @@ from skeletron.newton import (
     breakpoints,
     eval_trop,
     map_skeleton,
-    slope_at,
     slope_change_count,
     unit_decomposition,
 )

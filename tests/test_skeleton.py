@@ -3,13 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from skeletron.metric_graph import shortest_path
-from skeletron.points import INFINITY, Type1, Type2, path_distance
+from skeletron.io_json import tree_to_json
+from skeletron.points import INFINITY, Type1, Type2, join, path_distance
 from skeletron.puiseux import PuiseuxElement
-from skeletron.randfix import rand_type2
+from skeletron.randfix import rand_puiseux, rand_roots, rand_type2
 from skeletron.skeleton import build_skeleton_tree, retract
 
-from helpers import brute_nearest, grid_points, on_tree
+from helpers import (
+    brute_nearest,
+    grid_points,
+    on_tree,
+    ref_build_skeleton_tree,
+    ref_retract,
+)
 
 ZERO = PuiseuxElement.zero()
 ONE = PuiseuxElement.constant(1)
@@ -154,3 +160,67 @@ def test_path_decomposition_through_retraction():
         )
         assert lhs == rhs
         checked += 1
+
+
+def _reference_family(seed, count):
+    """(punctures, extra vertices) as in criterion 7: up to four monomial
+    roots with infinity and 0-3 extra vertices, and as many sets of two to
+    four roots without infinity."""
+    rng = random.Random(seed)
+    family = []
+    while len(family) < count:
+        with_inf = len(family) % 2 == 0
+        roots = rand_roots(rng, max_roots=4)
+        punctures = [Type1(r) for r in roots]
+        if with_inf:
+            punctures.append(INF_PT)
+        elif len(punctures) < 2:
+            continue
+        extras = [rand_type2(rng) for _ in range(rng.randint(0, 3))]
+        family.append((punctures, extras))
+    return family
+
+
+def test_build_matches_reference():
+    for punctures, extras in _reference_family(3, 300):
+        got = build_skeleton_tree(punctures, extras)
+        want = ref_build_skeleton_tree(punctures, extras)
+        assert tree_to_json(got) == tree_to_json(want)
+        assert got.root_id() == min(
+            want.placement, key=lambda v: want.placement[v].s
+        )
+
+
+def _lone_extra(x, tree):
+    """x is an extra vertex with no other anchor below it."""
+    return x in tree.anchors and all(
+        a == x or join(x, a) != x for a in tree.anchors
+    )
+
+
+def test_retract_matches_reference_except_at_lone_extras():
+    rng = random.Random(8)
+    lone = 0
+    for punctures, extras in _reference_family(4, 120):
+        tree = build_skeleton_tree(punctures, extras)
+        points = [rand_type2(rng) for _ in range(10)]
+        points += list(tree.placement.values()) + list(tree.anchors)
+        points += punctures + [Type1(rand_puiseux(rng)) for _ in range(3)]
+        for x in points:
+            got = retract(x, tree)
+            if isinstance(x, Type2) and _lone_extra(x, tree):
+                lone += 1
+                assert got == x == brute_nearest(x, tree)
+            else:
+                assert got == ref_retract(x, tree)
+    assert lone > 0
+
+
+def test_retract_fixes_lone_extra_vertex():
+    # nothing below zeta(2, 1) but itself: it is a tree vertex, so it
+    # retracts to itself, not to its parent zeta(0, 0)
+    x = zeta(PuiseuxElement.constant(2), 1)
+    tree = build_skeleton_tree([Type1(ZERO), Type1(ONE), INF_PT],
+                               extra_vertices=[x])
+    assert retract(x, tree) == x
+    assert brute_nearest(x, tree) == x

@@ -1,11 +1,15 @@
-import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import ref_stabilize
+from helpers import (
+    _apply_valence1,
+    _apply_valence2,
+    _ref_prune_step,
+    ref_stabilize,
+)
 from skeletron.io_json import stabilization_report_to_json
 from skeletron.metric_graph import (
     MetricGraph,
@@ -16,6 +20,8 @@ from skeletron.metric_graph import (
 from skeletron.randfix import confluence_family, rand_metric_graph
 from skeletron.stable import (
     CHI_ZERO_DIAGNOSTIC,
+    VALENCE1,
+    VALENCE2,
     abstract_tropicalization,
     apply_prune,
     is_stable,
@@ -333,3 +339,23 @@ def test_subdivided_family_covers_loops_rays_and_string_order():
             removed, key=lambda v: int(v[1:])
         )
     assert loops and moved_rays and string_order
+
+
+@pytest.mark.parametrize("family", ["confluence", "random", "subdivided"])
+def test_prune_moves_match_reference(family):
+    # apply_prune and prune_step run on the same incidence index as
+    # stabilize; the rebuilt-graph moves they replaced are the reference
+    ref_apply = {VALENCE1: _apply_valence1, VALENCE2: _apply_valence2}
+    for g in _family(family):
+        moves = prune_candidates(g)
+        for v in g.vertex_ids():
+            for rule in (VALENCE1, VALENCE2):
+                if (rule, v) in moves:
+                    assert apply_prune(g, rule, v) == ref_apply[rule](g, v)
+                else:
+                    with pytest.raises(ValueError):
+                        apply_prune(g, rule, v)
+        assert prune_step(g) == _ref_prune_step(g)
+        assert is_stable(g) == all(
+            w > 0 or g.valence(v) >= 3 for v, w in g.vertices
+        )
