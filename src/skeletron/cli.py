@@ -41,6 +41,49 @@ def _load_json(arg: str):
                          f"{e.msg}") from e
 
 
+def _kind(doc) -> str:
+    """The JSON type of a parsed document, for error messages."""
+    for types, name in ((dict, "an object"), (list, "a list"),
+                        (str, "a string"), (bool, "a boolean"),
+                        ((int, float), "a number")):
+        if isinstance(doc, types):
+            return name
+    return "null"
+
+
+def _load_object(arg: str, option: str) -> dict:
+    """Load the JSON of an option whose document is one object."""
+    doc = _load_json(arg)
+    if not isinstance(doc, dict):
+        raise InputError(f"{option} must be a JSON object, got {_kind(doc)}")
+    return doc
+
+
+def _load_objects(arg: str, option: str) -> list:
+    """Load the JSON of an option whose document is a list of objects."""
+    doc = _load_json(arg)
+    if not isinstance(doc, list):
+        raise InputError(
+            f"{option} must be a JSON list of objects, got {_kind(doc)}")
+    for i, item in enumerate(doc):
+        if not isinstance(item, dict):
+            raise InputError(f"{option} must be a JSON list of objects, "
+                             f"got {_kind(item)} at index {i}")
+    return doc
+
+
+def _sample_count(text: str) -> int:
+    """argparse type of --samples: a count of zero or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a count, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be zero or more, got {n}")
+    return n
+
+
 def _emit(data):
     try:
         json.dump(data, sys.stdout, indent=2)
@@ -56,7 +99,7 @@ def _emit(data):
 
 
 def cmd_newton(args) -> int:
-    f = io_json.trop_from_json(_load_json(args.f))
+    f = io_json.trop_from_json(_load_object(args.f, "--f"))
     lo_s, _, hi_s = args.interval.partition(",")
     if not hi_s:
         raise InputError("--interval expects 'lo,hi'")
@@ -81,19 +124,21 @@ def cmd_newton(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    f = io_json.function_from_json(_load_json(args.f))
-    point = io_json.point_from_json(_load_json(args.point))
+    f = io_json.function_from_json(_load_object(args.f, "--f"))
+    point = io_json.point_from_json(_load_object(args.point, "--point"))
     _emit({"val": format_rational(eval_val(f, point))})
     return 0
 
 
 def _punctures(arg):
-    return [io_json.point_from_json(p) for p in _load_json(arg)]
+    return [io_json.point_from_json(p)
+            for p in _load_objects(arg, "--punctures")]
 
 
 def cmd_skeleton(args) -> int:
     extras = (
-        [io_json.point_from_json(p) for p in _load_json(args.extra_vertices)]
+        [io_json.point_from_json(p)
+         for p in _load_objects(args.extra_vertices, "--extra-vertices")]
         if args.extra_vertices else []
     )
     tree = build_skeleton_tree(_punctures(args.punctures), extras)
@@ -102,7 +147,7 @@ def cmd_skeleton(args) -> int:
 
 
 def cmd_slope_check(args) -> int:
-    f = io_json.function_from_json(_load_json(args.f))
+    f = io_json.function_from_json(_load_object(args.f, "--f"))
     tree = build_skeleton_tree(_punctures(args.punctures))
     report = verify_slope_formula(f, tree, samples=args.samples,
                                   seed=args.seed)
@@ -120,7 +165,7 @@ def cmd_slope_check(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    g = io_json.graph_from_json(_load_json(args.graph))
+    g = io_json.graph_from_json(_load_object(args.graph, "--graph"))
     report = stabilize(g)
     _emit(io_json.stabilization_report_to_json(report))
     return 0
@@ -189,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("slope-check", help="slope-formula certificate")
     s.add_argument("--f", required=True, help="rational function JSON")
     s.add_argument("--punctures", required=True, help="JSON list of points")
-    s.add_argument("--samples", type=int, default=20)
+    s.add_argument("--samples", type=_sample_count, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--emit-plot", help="write a plain-text slope table")
     s.set_defaults(fn=cmd_slope_check)
@@ -204,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selftest", help="run the acceptance suite")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--samples", type=int, default=20)
+    s.add_argument("--samples", type=_sample_count, default=20)
     s.set_defaults(fn=cmd_selftest)
     return p
 

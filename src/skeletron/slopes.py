@@ -105,6 +105,8 @@ def verify_slope_formula(
 ) -> SlopeReport:
     """Certify harmonicity, ray slopes, the degree-zero sum, and the
     factor-through-retraction property on sampled off-skeleton points."""
+    if samples < 0:
+        raise ValueError(f"samples must be zero or more, got {samples}")
     F = compute_F(f, tree)
     g = tree.graph
 

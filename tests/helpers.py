@@ -4,12 +4,15 @@ operators and ``val_diff`` replace, the all-pairs skeleton builder and
 retraction that the radius-order rules in ``skeleton`` replace, the
 retraction sampler that ``randfix.rand_type2`` replaces, and the
 rescan-and-rebuild stabilization that the incidence index in ``stable``
-replaces."""
+replaces, and the full recentering expansion that the precision cap in
+``oracle`` replaces."""
 
 import random
 from fractions import Fraction
 
 from skeletron.metric_graph import MetricGraph, euler_char
+from skeletron.newton import eval_trop
+from skeletron.oracle import tropicalize
 from skeletron.points import Type1, Type2, join, path_distance
 from skeletron.puiseux import PuiseuxElement
 from skeletron.skeleton import (
@@ -56,6 +59,37 @@ def ref_eval_val(f, x: Type2):
         mult * min(ref_sub(x.center, root).valuation(), x.s)
         for root, mult in f.factors
     )
+
+
+def ref_expand_from_roots(shifts) -> list[PuiseuxElement]:
+    """Coefficients (low degree first) of prod_i (u + shift_i), every
+    monomial of every coefficient."""
+    coeffs = [PuiseuxElement.constant(1)]
+    for shift in shifts:
+        zero = PuiseuxElement.zero()
+        nxt = [zero] * (len(coeffs) + 1)
+        for n, c in enumerate(coeffs):
+            nxt[n] = nxt[n] + c * shift   # constant part of the factor
+            nxt[n + 1] = nxt[n + 1] + c   # u part
+        coeffs = nxt
+    return coeffs
+
+
+def ref_eval_val_newton(f, x: Type2) -> Fraction:
+    """val f(x) via recentering and the Newton polygon of the full
+    expansions of numerator and denominator."""
+    num_shifts = []
+    den_shifts = []
+    for root, mult in f.factors:
+        shift = x.center - root
+        bucket = num_shifts if mult > 0 else den_shifts
+        bucket.extend([shift] * abs(mult))
+    total = f.lead_val
+    if num_shifts:
+        total += eval_trop(tropicalize(ref_expand_from_roots(num_shifts)), x.s)
+    if den_shifts:
+        total -= eval_trop(tropicalize(ref_expand_from_roots(den_shifts)), x.s)
+    return total
 
 
 def ref_build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:

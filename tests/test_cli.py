@@ -268,3 +268,41 @@ def test_missing_field_exit_2(command, option, path, key, capsys):
     del target[key]
     assert run(_cli_args(command, option, doc)) == 2
     assert capsys.readouterr().err == f"input error: missing field '{key}'\n"
+
+
+@pytest.mark.parametrize("command", ["slope-check", "selftest"])
+def test_negative_samples_exit_2(command, capsys):
+    args = [command, "--samples", "-1"]
+    if command == "slope-check":
+        args += ["--f", json.dumps(WORKED_FUNC),
+                 "--punctures", json.dumps(WORKED_PUNCTURES)]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        "error: argument --samples: must be zero or more, got -1")
+
+
+SHAPE_CASES = [
+    (["stabilize"], "--graph", [], "a JSON object, got a list"),
+    (["eval", "--point", json.dumps(VALID_INPUTS["eval"]["--point"])],
+     "--f", [], "a JSON object, got a list"),
+    (["eval", "--f", json.dumps(T_FUNC)],
+     "--point", "x", "a JSON object, got a string"),
+    (["skeleton"], "--punctures", {"a": 1},
+     "a JSON list of objects, got an object"),
+    (["skeleton", "--punctures", json.dumps(WORKED_PUNCTURES)],
+     "--extra-vertices", [None], "a JSON list of objects, got null at index 0"),
+]
+
+
+@pytest.mark.parametrize("args, option, doc, expected", SHAPE_CASES,
+                         ids=[o for _, o, _, _ in SHAPE_CASES])
+def test_wrong_json_shape_names_the_option(args, option, doc, expected,
+                                           tmp_path, capsys):
+    # read from a file, so that a top-level string arrives as one
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(args + [option, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {option} must be {expected}\n")

@@ -94,6 +94,12 @@ def test_verify_worked_fixture():
     assert all(ok for *_, ok in report.retraction_samples)
 
 
+def test_verify_rejects_negative_sample_count():
+    f, tree = worked_fixture()
+    with pytest.raises(ValueError, match="samples must be zero or more"):
+        verify_slope_formula(f, tree, samples=-1)
+
+
 def test_negative_control_ray_mismatch():
     # f = T has order 0 at the puncture 1; a report for f' = T(T-1)/...
     # claiming ord_1 = 1 must fail.  We fake the claim by checking T's
