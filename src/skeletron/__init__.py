@@ -32,7 +32,7 @@ from .points import (
 )
 from .puiseux import PuiseuxElement, parse_element
 from .skeleton import SkeletonTree, build_skeleton_tree, retract
-from .slopes import SlopeReport, compute_F, direction_count, verify_slope_formula
+from .slopes import SlopeReport, compute_F, verify_slope_formula
 from .stable import (
     StabilizationReport,
     abstract_tropicalization,

@@ -51,25 +51,28 @@ def _kind(doc) -> str:
     return "null"
 
 
-def _load_object(arg: str, option: str) -> dict:
-    """Load the JSON of an option whose document is one object."""
-    doc = _load_json(arg)
+def _check_object(doc, what: str) -> dict:
+    """The document, if it is a JSON object; ``what`` names it."""
     if not isinstance(doc, dict):
-        raise InputError(f"{option} must be a JSON object, got {_kind(doc)}")
+        raise InputError(f"{what} must be a JSON object, got {_kind(doc)}")
     return doc
 
 
-def _load_objects(arg: str, option: str) -> list:
-    """Load the JSON of an option whose document is a list of objects."""
-    doc = _load_json(arg)
+def _check_objects(doc, what: str) -> list:
+    """The document, if it is a JSON list of objects."""
     if not isinstance(doc, list):
         raise InputError(
-            f"{option} must be a JSON list of objects, got {_kind(doc)}")
+            f"{what} must be a JSON list of objects, got {_kind(doc)}")
     for i, item in enumerate(doc):
         if not isinstance(item, dict):
-            raise InputError(f"{option} must be a JSON list of objects, "
+            raise InputError(f"{what} must be a JSON list of objects, "
                              f"got {_kind(item)} at index {i}")
     return doc
+
+
+def _load_object(arg: str, option: str) -> dict:
+    """Load the JSON of an option whose document is one object."""
+    return _check_object(_load_json(arg), option)
 
 
 def _sample_count(text: str) -> int:
@@ -132,13 +135,13 @@ def cmd_eval(args) -> int:
 
 def _punctures(arg):
     return [io_json.point_from_json(p)
-            for p in _load_objects(arg, "--punctures")]
+            for p in _check_objects(_load_json(arg), "--punctures")]
 
 
 def cmd_skeleton(args) -> int:
     extras = (
-        [io_json.point_from_json(p)
-         for p in _load_objects(args.extra_vertices, "--extra-vertices")]
+        [io_json.point_from_json(p) for p in _check_objects(
+            _load_json(args.extra_vertices), "--extra-vertices")]
         if args.extra_vertices else []
     )
     tree = build_skeleton_tree(_punctures(args.punctures), extras)
@@ -177,28 +180,35 @@ def cmd_tate(args) -> int:
     return 0
 
 
+def _load_fixture(path: Path):
+    """The function and skeleton tree of a selftest fixture file."""
+    name = f"fixture {path.name}"
+    data = _load_object(str(path), name)
+    f = io_json.function_from_json(_check_object(data["f"], f"{name} f"))
+    punctures = _check_objects(data["punctures"], f"{name} punctures")
+    return f, build_skeleton_tree(
+        [io_json.point_from_json(p) for p in punctures])
+
+
 def cmd_selftest(args) -> int:
+    fixture_dir = os.environ.get("SKELETRON_FIXTURES")
+    paths = sorted(Path(fixture_dir).glob("*.json")) if fixture_dir else []
+    # read every fixture first, so a bad one stops before any criterion runs
+    fixtures = [(path.name, *_load_fixture(path)) for path in paths]
     results = run_all(seed=args.seed)
     all_ok = True
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] criterion {name}: {detail}", file=sys.stderr)
         all_ok &= ok
-    fixture_dir = os.environ.get("SKELETRON_FIXTURES")
     fixture_rows = []
-    if fixture_dir:
-        for path in sorted(Path(fixture_dir).glob("*.json")):
-            data = _load_json(str(path))
-            f = io_json.function_from_json(data["f"])
-            tree = build_skeleton_tree(
-                [io_json.point_from_json(p) for p in data["punctures"]]
-            )
-            rep = verify_slope_formula(f, tree, samples=args.samples,
-                                       seed=args.seed)
-            status = "PASS" if rep.verdict else "FAIL"
-            print(f"[{status}] fixture {path.name}", file=sys.stderr)
-            fixture_rows.append({"fixture": path.name, "pass": rep.verdict})
-            all_ok &= rep.verdict
+    for name, f, tree in fixtures:
+        rep = verify_slope_formula(f, tree, samples=args.samples,
+                                   seed=args.seed)
+        status = "PASS" if rep.verdict else "FAIL"
+        print(f"[{status}] fixture {name}", file=sys.stderr)
+        fixture_rows.append({"fixture": name, "pass": rep.verdict})
+        all_ok &= rep.verdict
     _emit({
         "criteria": [
             {"name": n, "pass": ok, "detail": d} for n, ok, d in results

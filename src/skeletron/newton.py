@@ -29,8 +29,6 @@ class Interval:
 
     lo: object  # Fraction or -inf
     hi: object  # Fraction or +inf
-    lo_closed: bool = True
-    hi_closed: bool = True
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -209,5 +207,5 @@ def map_skeleton(d: int, val_alpha, interval: Interval) -> Interval:
 
     a, b = img(interval.lo), img(interval.hi)
     if d > 0:
-        return Interval(a, b, interval.lo_closed, interval.hi_closed)
-    return Interval(b, a, interval.hi_closed, interval.lo_closed)
+        return Interval(a, b)
+    return Interval(b, a)

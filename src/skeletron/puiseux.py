@@ -9,10 +9,10 @@ explicitly given elements.
 
 ``val_diff(a, b)`` is the single valuation-of-a-difference primitive: it
 answers val(a - b) by walking the two term sequences side by side, without
-building a - b.  Ball containment, joins, ``eval_val`` and ray slopes go
-through it.  The arithmetic operators merge terms that are already
-canonical; ``PuiseuxElement.from_terms`` canonicalises parsed and generated
-input.
+building a - b.  Ball containment, joins and ``eval_val`` go through it;
+edge and ray slopes reach it only through ``eval_val``.  The arithmetic
+operators merge terms that are already canonical;
+``PuiseuxElement.from_terms`` canonicalises parsed and generated input.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .puiseux import PuiseuxElement, val_diff
 
 
 def puncture_label(p: Type1) -> str:
+    """A puncture's marking, for display; punctures compare by value."""
     return "inf" if p.is_infinity() else str(p.value)
 
 
@@ -71,7 +72,7 @@ def build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     punctures = list(punctures)
     if len(punctures) < 2:
         raise ValueError("need at least two punctures to span a skeleton")
-    if len(set(map(puncture_label, punctures))) != len(punctures):
+    if len(set(punctures)) != len(punctures):
         raise ValueError("punctures must be pairwise distinct")
     finite = [p for p in punctures if not p.is_infinity()]
     has_inf = len(finite) < len(punctures)

@@ -2,11 +2,13 @@
 harmonicity certificate.
 
 For f with all zeros and poles among the punctures, F = val(f) restricted
-to the skeleton is affine on each edge with integer slope, constant along
-each ray beyond the last Newton breakpoint, and harmonic: at every finite
-vertex the outgoing slopes over all tangent directions sum to zero, and the
-outgoing slope along a ray equals the order of f at the targeted puncture.
-Off the skeleton, F factors through the retraction.
+to the skeleton is affine with integer slope on each edge and on each ray
+from its base on (no zero or pole of f branches off a ray beyond its base),
+and harmonic: at every finite vertex the outgoing slopes over all tangent
+directions sum to zero, and the outgoing slope along a ray equals the order
+of f at the targeted puncture (Poincare-Lelong).  So both kinds of slope are
+read as F's change over a length from a vertex value.  Off the skeleton, F
+factors through the retraction.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from fractions import Fraction
 
 from .metric_graph import PLFunction
 from .points import RationalFunction, Type1, Type2, eval_val
-from .puiseux import val_diff
 from .randfix import rand_type2
 from .skeleton import SkeletonTree, retract
 
@@ -29,34 +30,27 @@ def _as_int(x: Fraction, what: str) -> int:
 
 
 def _check_divisor_on_punctures(f: RationalFunction, tree: SkeletonTree):
-    targets = list(tree.ray_target.values())
+    finite = {t.value for t in tree.ray_target.values()
+              if not t.is_infinity()}
     for root, _ in f.factors:
-        if not any((not t.is_infinity()) and t.value == root for t in targets):
+        if root not in finite:
             raise ValueError(f"zero/pole at {root} is not a puncture")
-    if f.order_at_infinity() != 0:
-        if not any(t.is_infinity() for t in targets):
-            raise ValueError("zero/pole at infinity is not a puncture")
+    if f.order_at_infinity() != 0 and not tree.has_infinity:
+        raise ValueError("zero/pole at infinity is not a puncture")
 
 
-def _ray_slope(f: RationalFunction, tree: SkeletonTree, base: str,
-               target: Type1) -> int:
-    """Outgoing slope along the ray from base toward the puncture,
-    probed beyond every Newton breakpoint of f relative to the ray."""
-    base_pt = tree.placement[base]
-    if target.is_infinity():
-        # ray parametrized by decreasing s below the root
-        breaks = [val_diff(base_pt.center, root) for root, _ in f.factors]
-        s0 = min([base_pt.s] + [b for b in breaks if b != float("inf")],
-                 default=base_pt.s) - 1
-        g0 = eval_val(f, Type2(base_pt.center, s0))
-        g1 = eval_val(f, Type2(base_pt.center, s0 - 1))
-        return _as_int(g1 - g0, "ray slope")
-    a = target.value
-    breaks = [val_diff(a, root) for root, _ in f.factors if root != a]
-    s0 = max([base_pt.s] + breaks) + 1
-    g0 = eval_val(f, Type2(a, s0))
-    g1 = eval_val(f, Type2(a, s0 + 1))
-    return _as_int(g1 - g0, "ray slope")
+def _ray_slope(f: RationalFunction, target: Type1, base: Type2,
+               base_value: Fraction) -> int:
+    """Outgoing slope along the ray from its base toward the puncture: F's
+    change over length 1 from the base value.  Every zero and pole of f is
+    a puncture, so each other one separates from a finite puncture at or
+    above its ray's base, and each finite one lies in the root ball, where
+    the ray toward infinity starts: F is affine beyond the base."""
+    if target.is_infinity():  # decreasing s from the root
+        probe = Type2(base.center, base.s - 1)
+    else:
+        probe = Type2(target.value, base.s + 1)
+    return _as_int(eval_val(f, probe) - base_value, "ray slope")
 
 
 def compute_F(f: RationalFunction, tree: SkeletonTree) -> PLFunction:
@@ -71,20 +65,14 @@ def compute_F(f: RationalFunction, tree: SkeletonTree) -> PLFunction:
                                  "edge slope")
     ray_slopes = {}
     for base, mark in g.rays:
-        ray_slopes[mark] = _ray_slope(f, tree, base, tree.ray_target[mark])
+        ray_slopes[mark] = _ray_slope(f, tree.ray_target[mark],
+                                      tree.placement[base], values[base])
     return PLFunction(
         graph=g,
         vertex_values=values,
         edge_slopes=edge_slopes,
         ray_slopes=ray_slopes,
     ).validate()
-
-
-def direction_count(tree: SkeletonTree, v: str) -> int:
-    """Tangent directions at a vertex within the skeleton: incident edge
-    ends (loops twice) plus incident rays.  Directions off the skeleton
-    carry slope zero and are excluded from harmonicity sums."""
-    return tree.graph.valence(v)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ operators and ``val_diff`` replace, the all-pairs skeleton builder and
 retraction that the radius-order rules in ``skeleton`` replace, the
 retraction sampler that ``randfix.rand_type2`` replaces, and the
 rescan-and-rebuild stabilization that the incidence index in ``stable``
-replaces, and the full recentering expansion that the precision cap in
-``oracle`` replaces."""
+replaces, the full recentering expansion that the precision cap in
+``oracle`` replaces, and the ray slope probed beyond every Newton
+breakpoint that the one probe from the base value in ``slopes``
+replaces."""
 
 import random
 from fractions import Fraction
@@ -13,8 +15,8 @@ from fractions import Fraction
 from skeletron.metric_graph import MetricGraph, euler_char
 from skeletron.newton import eval_trop
 from skeletron.oracle import tropicalize
-from skeletron.points import Type1, Type2, join, path_distance
-from skeletron.puiseux import PuiseuxElement
+from skeletron.points import Type1, Type2, eval_val, join, path_distance
+from skeletron.puiseux import PuiseuxElement, val_diff
 from skeletron.skeleton import (
     SkeletonTree,
     _contains,
@@ -22,6 +24,7 @@ from skeletron.skeleton import (
     _point_key,
     puncture_label,
 )
+from skeletron.slopes import _as_int
 from skeletron.stable import CHI_ZERO_DIAGNOSTIC, StabilizationReport
 from skeletron.valq import INF
 
@@ -191,6 +194,26 @@ def ref_retract(x, tree: SkeletonTree):
         if best.s < rp.s:
             return rp
     return best
+
+
+def ref_ray_slope(f, tree: SkeletonTree, base: str, target: Type1) -> int:
+    """Outgoing slope along the ray from base toward the puncture,
+    probed beyond every Newton breakpoint of f relative to the ray."""
+    base_pt = tree.placement[base]
+    if target.is_infinity():
+        # ray parametrized by decreasing s below the root
+        breaks = [val_diff(base_pt.center, root) for root, _ in f.factors]
+        s0 = min([base_pt.s] + [b for b in breaks if b != float("inf")],
+                 default=base_pt.s) - 1
+        g0 = eval_val(f, Type2(base_pt.center, s0))
+        g1 = eval_val(f, Type2(base_pt.center, s0 - 1))
+        return _as_int(g1 - g0, "ray slope")
+    a = target.value
+    breaks = [val_diff(a, root) for root, _ in f.factors if root != a]
+    s0 = max([base_pt.s] + breaks) + 1
+    g0 = eval_val(f, Type2(a, s0))
+    g1 = eval_val(f, Type2(a, s0 + 1))
+    return _as_int(g1 - g0, "ray slope")
 
 
 def ref_random_type2(rng: random.Random) -> Type2:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import skeletron
-from skeletron import io_json
+from skeletron import cli, io_json
 from skeletron.cli import run
 from skeletron.metric_graph import MetricGraph
 
@@ -306,3 +306,41 @@ def test_wrong_json_shape_names_the_option(args, option, doc, expected,
     assert run(args + [option, str(path)]) == 2
     assert capsys.readouterr().err == (
         f"input error: {option} must be {expected}\n")
+
+
+FIXTURE_CASES = [
+    ([], "fixture a.json must be a JSON object, got a list"),
+    ({"f": [], "punctures": WORKED_PUNCTURES},
+     "fixture a.json f must be a JSON object, got a list"),
+    ({"f": WORKED_FUNC, "punctures": {"a": 1}},
+     "fixture a.json punctures must be a JSON list of objects, got an object"),
+]
+
+
+@pytest.mark.parametrize("doc, expected", FIXTURE_CASES,
+                         ids=["list", "f-list", "punctures-object"])
+def test_bad_selftest_fixture_names_the_file(doc, expected, tmp_path,
+                                             monkeypatch, capsys):
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("SKELETRON_FIXTURES", str(tmp_path))
+    assert run(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {expected}\n"
+
+
+def test_selftest_certifies_fixture_files(tmp_path, monkeypatch, capsys):
+    # the acceptance criteria are stubbed out; only the fixtures run
+    monkeypatch.setattr(cli, "run_all", lambda seed: [])
+    (tmp_path / "a.json").write_text(json.dumps(
+        {"f": WORKED_FUNC, "punctures": WORKED_PUNCTURES}))
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"f": T_FUNC, "punctures": [WORKED_PUNCTURES[i] for i in (0, 3)]}))
+    monkeypatch.setenv("SKELETRON_FIXTURES", str(tmp_path))
+    assert run(["selftest", "--samples", "5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "criteria": [],
+        "fixtures": [{"fixture": "a.json", "pass": True},
+                     {"fixture": "b.json", "pass": True}],
+        "verdict": "pass",
+    }

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from skeletron.metric_graph import MetricGraph
 from skeletron.points import (
     INFINITY,
     RationalFunction,
@@ -10,15 +12,17 @@ from skeletron.points import (
     Type2,
 )
 from skeletron.puiseux import PuiseuxElement
-from skeletron.randfix import punctures_of, rand_rational_function, rand_type2
-from skeletron.skeleton import build_skeleton_tree
-from skeletron.slopes import (
-    compute_F,
-    direction_count,
-    verify_slope_formula,
+from skeletron.randfix import (
+    punctures_of,
+    rand_rational,
+    rand_rational_function,
+    rand_roots,
+    rand_type2,
 )
+from skeletron.skeleton import build_skeleton_tree
+from skeletron.slopes import compute_F, verify_slope_formula
 
-from helpers import ref_random_type2
+from helpers import ref_random_type2, ref_ray_slope
 
 ZERO = PuiseuxElement.zero()
 ONE = PuiseuxElement.constant(1)
@@ -78,10 +82,10 @@ def test_compute_F_rejects_off_puncture_divisor():
 def test_direction_count_examples():
     _, tree = worked_fixture()
     root = tree.root_id()
-    assert direction_count(tree, root) == 3  # edge + rays to 1, inf
+    assert tree.graph.valence(root) == 3  # edge + rays to 1, inf
     gm = build_skeleton_tree([Type1(ZERO), INF_PT])
     (vid,) = gm.placement
-    assert direction_count(gm, vid) == 2
+    assert gm.graph.valence(vid) == 2
 
 
 def test_verify_worked_fixture():
@@ -113,6 +117,88 @@ def test_negative_control_ray_mismatch():
     mark, slope, expected, ok = row
     assert slope == 0 and expected == 0 and ok
     assert slope != 1  # the wrong claimed order would be flagged
+
+
+def test_negative_control_misplaced_ray_base():
+    # f = T(T - t^2)/(T - t)^2 on {0, t, t^2, inf}: the ray toward 0 starts
+    # at v1 = zeta(0, 2).  Moved to v0 = zeta(0, 1), it would have to carry
+    # the slope 2 of the edge v0-v1, not ord_0 f = 1.
+    t2 = PuiseuxElement.monomial(1, 2)
+    f = RationalFunction.make(0, [(ZERO, 1), (t2, 1), (t, -2)])
+    tree = build_skeleton_tree([Type1(ZERO), Type1(t), Type1(t2), INF_PT])
+    assert ("v1", "0") in tree.graph.rays
+    assert verify_slope_formula(f, tree).verdict
+    g = tree.graph
+    rays = [("v0" if mark == "0" else base, mark) for base, mark in g.rays]
+    moved = dataclasses.replace(
+        tree, graph=MetricGraph.make(g.vertices, g.edges, rays))
+    report = verify_slope_formula(f, moved)
+    assert not report.verdict
+    assert next(r for r in report.ray_checks if r[0] == "0") == (
+        "0", 2, 1, False)
+
+
+def _two_term_roots(rng: random.Random, n: int, clustered: bool):
+    """n distinct roots c1*t^q1 + c2*t^q2 as in the certify-wide benchmark:
+    clustered roots share one of three leading terms (deep chains), spread
+    ones one of eight leading exponents (bushy)."""
+    groups = 3 if clustered else 8
+    exps = [Fraction(e, 4) for e in rng.sample(range(-24, 25), groups)]
+    coeffs = [Fraction(p, q) for p in range(-9, 10) if p for q in (1, 2, 3)]
+    leads = [rng.sample(coeffs, -(-n // groups)) for _ in exps]
+    gaps = rng.sample(range(1, 97), n)
+    roots = []
+    for i, gap in enumerate(gaps):
+        q1 = exps[i % groups]
+        c1 = leads[i % groups][0 if clustered else i // groups]
+        roots.append(PuiseuxElement.from_terms(
+            [(q1, c1), (q1 + Fraction(gap, 4), rng.choice(coeffs))]))
+    return roots
+
+
+def _ray_slope_cases():
+    """(f, tree) pairs: random functions under 0-3 extra vertices,
+    two-term roots, two-puncture lines, an extra vertex as the root, and
+    trees without infinity under degree-zero functions."""
+    rng = random.Random(23)
+    for k in range(60):
+        f = rand_rational_function(rng)
+        extras = [rand_type2(rng) for _ in range(k % 4)]
+        yield f, build_skeleton_tree(punctures_of(f), extras)
+    for n, clustered in ((16, True), (16, False), (24, True), (32, False)):
+        roots = _two_term_roots(rng, n, clustered)
+        f = RationalFunction.make(rand_rational(rng), [
+            (r, rng.choice((-2, -1, 1, 2))) for r in roots])
+        yield f, build_skeleton_tree(punctures_of(f))
+    for a in (ZERO, t, PuiseuxElement.from_terms([(-1, 3), (2, 1)])):
+        for mult in (-2, 1):
+            yield (RationalFunction.make(1, [(a, mult)]),
+                   build_skeleton_tree([Type1(a), INF_PT]))
+    for center in (ZERO, PuiseuxElement.constant(7)):
+        root = zeta(center, -5)  # contains every root of exponent >= -4
+        f = rand_rational_function(rng)
+        tree = build_skeleton_tree(punctures_of(f), [root, zeta(t, 2)])
+        assert tree.root_point() == root
+        yield f, tree
+    for _ in range(40):
+        roots = rand_roots(rng)
+        mults = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in roots[1:]]
+        if sum(mults) == 0:  # also skips a lone root
+            continue
+        f = RationalFunction.make(rand_rational(rng),
+                                  list(zip(roots, [-sum(mults)] + mults)))
+        extras = [rand_type2(rng) for _ in range(rng.randint(0, 3))]
+        yield f, build_skeleton_tree([Type1(r) for r in roots], extras)
+
+
+def test_ray_slopes_match_breakpoint_probe_reference():
+    without_inf = 0
+    for f, tree in _ray_slope_cases():
+        want = {mark: ref_ray_slope(f, tree, base, tree.ray_target[mark])
+                for base, mark in tree.graph.rays}
+        assert compute_F(f, tree).ray_slopes == want
+        without_inf += not tree.has_infinity
+    assert without_inf > 0
 
 
 def test_verdict_stable_under_refinement():
