@@ -27,9 +27,10 @@ class InputError(Exception):
 
 
 def _load_json(arg: str):
-    """Parse inline JSON, or read it from a file path."""
+    """Read JSON from the file an argument names, or parse the argument as
+    inline JSON when no such file exists and it starts with { or [."""
     text = arg
-    if not arg.lstrip().startswith(("{", "[")):
+    if not arg.lstrip().startswith(("{", "[")) or os.path.exists(arg):
         try:
             text = Path(arg).read_text()
         except OSError as e:

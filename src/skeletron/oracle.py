@@ -43,8 +43,9 @@ from .valq import INF
 def _upto(c: PuiseuxElement, cap) -> PuiseuxElement:
     """c without its monomials of exponent above cap."""
     terms = c.terms
+    n, d = cap.numerator, cap.denominator
     k = len(terms)
-    while k and terms[k - 1][0] > cap:
+    while k and terms[k - 1][0] * d > n * terms[k - 1][1]:
         k -= 1
     return c if k == len(terms) else PuiseuxElement(terms[:k])
 

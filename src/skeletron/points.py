@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .puiseux import PuiseuxElement, val_diff
+from .puiseux import PuiseuxElement, val_diff_pair
 from .valq import INF
 
 
@@ -51,7 +51,8 @@ class Type2:
     s: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "s", Fraction(self.s))
+        if type(self.s) is not Fraction:
+            object.__setattr__(self, "s", Fraction(self.s))
         object.__setattr__(self, "center", self.center.truncate_below(self.s))
 
     def __repr__(self):
@@ -86,8 +87,12 @@ def join(x, y):
     sx, sy = _radius(x), _radius(y)
     if x == y:
         return x
-    s = min(sx, sy, val_diff(_center(x), _center(y)))
-    return Type2(_center(x), Fraction(s))
+    s = min(sx, sy)
+    v = val_diff_pair(_center(x).terms, _center(y).terms)
+    if v is not None and (s is INF or v[0] * s.denominator
+                          < s.numerator * v[1]):
+        s = Fraction(*v)
+    return Type2(_center(x), s)
 
 
 def path_distance(x, y):
@@ -164,10 +169,27 @@ class RationalFunction:
 
 def eval_val(f: RationalFunction, x: Type2) -> Fraction:
     """val f at a type-2 point (b, s):
-    lead_val + sum_i mult_i * min(val(b - a_i), s)."""
+    lead_val + sum_i mult_i * min(val(b - a_i), s).
+
+    The sum runs in ints: the multiplicities of the factors with
+    val(b - a_i) >= s add up to one count of s, and the other terms to one
+    numerator per denominator of val(b - a_i)."""
     if not isinstance(x, Type2):
         raise TypeError("eval_val needs a type-2 point")
-    total = f.lead_val
+    sn, sd = x.s.numerator, x.s.denominator
+    center = x.center.terms
+    at_s = 0
+    below: dict[int, int] = {}  # denominator q -> sum of mult_i * p_i
     for root, mult in f.factors:
-        total += mult * min(val_diff(x.center, root), x.s)
-    return total
+        v = val_diff_pair(center, root.terms)
+        if v is None or v[0] * sd >= sn * v[1]:
+            at_s += mult
+        else:
+            p, q = v
+            below[q] = below.get(q, 0) + mult * p
+    lead = f.lead_val
+    num = lead.numerator * sd + at_s * sn * lead.denominator
+    den = lead.denominator * sd
+    for q, p in below.items():
+        num, den = num * q + p * den, den * q
+    return Fraction(num, den)

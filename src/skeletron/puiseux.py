@@ -7,12 +7,24 @@ closed under +, -, * and is the concrete stand-in for the valued field:
 everything downstream consumes only valuations of sums and products of
 explicitly given elements.
 
-``val_diff(a, b)`` is the single valuation-of-a-difference primitive: it
-answers val(a - b) by walking the two term sequences side by side, without
-building a - b.  Ball containment, joins and ``eval_val`` go through it;
-edge and ray slopes reach it only through ``eval_val``.  The arithmetic
-operators merge terms that are already canonical;
-``PuiseuxElement.from_terms`` canonicalises parsed and generated input.
+Each term is stored as one tuple of ints ``(exp_num, exp_den, coeff_num,
+coeff_den)``, both fractions reduced with a positive denominator.  That
+form is canonical: two terms are equal iff their tuples are, so element
+equality, hashing and the ``u != v`` test of ``val_diff_pair`` are tuple
+compares done in C.  Only an order between exponents needs a
+cross-multiplication.  The raw tuples do not sort by value (1/2 comes
+before 2/5), so terms are kept in exponent order by value.  ``Fraction``
+stays at the boundary: ``from_terms`` and ``monomial`` take any rationals,
+and ``valuation``, ``pairs``, ``__str__`` and the JSON helpers give
+``Fraction`` values back.
+
+``val_diff_pair(x, y)`` is the single valuation-of-a-difference primitive:
+it answers val(x - y) for two term tuples by walking them side by side,
+without building x - y, as the int pair (numerator, denominator), or None
+for +inf.  Ball containment, joins and ``eval_val`` go through it; edge
+and ray slopes reach it only through ``eval_val``.  The arithmetic operators merge terms that are
+already canonical; ``PuiseuxElement.from_terms`` canonicalises parsed and
+generated input.
 """
 
 from __future__ import annotations
@@ -20,14 +32,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .valq import INF, format_rational, parse_rational
 
 
+def _term(q: Fraction, c: Fraction) -> tuple:
+    return (q.numerator, q.denominator, c.numerator, c.denominator)
+
+
 @dataclass(frozen=True)
 class PuiseuxElement:
-    # sorted tuple of (exponent, coefficient), both exact, coefficient != 0
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    # (exp_num, exp_den, coeff_num, coeff_den) per term, in increasing
+    # exponent order, both fractions reduced, coefficient != 0
+    terms: tuple[tuple[int, int, int, int], ...]
 
     @staticmethod
     def from_terms(pairs) -> "PuiseuxElement":
@@ -37,8 +55,8 @@ class PuiseuxElement:
             q = Fraction(q)
             c = Fraction(c)
             acc[q] = acc.get(q, Fraction(0)) + c
-        terms = tuple(sorted((q, c) for q, c in acc.items() if c != 0))
-        return PuiseuxElement(terms)
+        return PuiseuxElement(
+            tuple(_term(q, c) for q, c in sorted(acc.items()) if c))
 
     @staticmethod
     def zero() -> "PuiseuxElement":
@@ -51,7 +69,8 @@ class PuiseuxElement:
     @staticmethod
     def monomial(coeff, exp) -> "PuiseuxElement":
         coeff = Fraction(coeff)
-        return PuiseuxElement(((Fraction(exp), coeff),) if coeff else ())
+        return PuiseuxElement(
+            (_term(Fraction(exp), coeff),) if coeff else ())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -60,36 +79,54 @@ class PuiseuxElement:
         """Least exponent present; +inf for the zero element."""
         if not self.terms:
             return INF
-        return self.terms[0][0]
+        return Fraction(self.terms[0][0], self.terms[0][1])
+
+    def pairs(self) -> tuple:
+        """The terms as (exponent, coefficient) pairs of Fractions."""
+        return tuple((Fraction(p, q), Fraction(a, b))
+                     for p, q, a, b in self.terms)
 
     def __add__(self, other: "PuiseuxElement") -> "PuiseuxElement":
         return PuiseuxElement(_merge(self.terms, other.terms, 1))
 
     def __neg__(self) -> "PuiseuxElement":
-        return PuiseuxElement(tuple((q, -c) for q, c in self.terms))
+        return PuiseuxElement(
+            tuple((p, q, -a, b) for p, q, a, b in self.terms))
 
     def __sub__(self, other: "PuiseuxElement") -> "PuiseuxElement":
         return PuiseuxElement(_merge(self.terms, other.terms, -1))
 
     def __mul__(self, other: "PuiseuxElement") -> "PuiseuxElement":
-        acc: dict[Fraction, Fraction] = {}
-        for q1, c1 in self.terms:
-            for q2, c2 in other.terms:
-                q = q1 + q2
-                c = acc.get(q)
-                acc[q] = c1 * c2 if c is None else c + c1 * c2
-        return PuiseuxElement(tuple(sorted(
-            (q, c) for q, c in acc.items() if c)))
+        x, y = self.terms, other.terms
+        if len(x) < len(y):
+            x, y = y, x
+        # x times one term of y keeps x's exponent order: merge the rows
+        out = ()
+        for p2, q2, a2, b2 in y:
+            row = []
+            for p1, q1, a1, b1 in x:
+                p, q = p1 * q2 + p2 * q1, q1 * q2
+                g = gcd(p, q)
+                a, b = a1 * a2, b1 * b2
+                h = gcd(a, b)
+                row.append((p // g, q // g, a // h, b // h))
+            out = _merge(out, row, 1)
+        return PuiseuxElement(out)
 
     def truncate_below(self, s: Fraction) -> "PuiseuxElement":
         """Drop every monomial t^q with q >= s (center reduction mod radius)."""
-        return PuiseuxElement(tuple((q, c) for q, c in self.terms if q < s))
+        terms = self.terms
+        n, d = s.numerator, s.denominator
+        k = len(terms)
+        while k and terms[k - 1][0] * d >= n * terms[k - 1][1]:
+            k -= 1
+        return self if k == len(terms) else PuiseuxElement(terms[:k])
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for q, c in self.terms:
+        for q, c in self.pairs():
             if q == 0:
                 parts.append(str(c))
             else:
@@ -111,40 +148,40 @@ def _merge(x, y, sign):
     i = j = 0
     nx, ny = len(x), len(y)
     while i < nx and j < ny:
-        p, c = x[i]
-        q, d = y[j]
-        if p < q:
-            out.append(x[i])
+        u, v = x[i], y[j]
+        p, q, r, w = v
+        if u[0] == p and u[1] == q:
+            a, b = u[2], u[3]
+            if sign < 0:
+                r = -r
+            c, d = (a + r, b) if b == w else (a * w + r * b, b * w)
+            if c:
+                g = gcd(c, d)
+                out.append((p, q, c // g, d // g))
             i += 1
-        elif q < p:
-            out.append(y[j] if sign > 0 else (q, -d))
             j += 1
-        else:
-            e = c + d if sign > 0 else c - d
-            if e:
-                out.append((p, e))
+        elif u[0] * q < p * u[1]:
+            out.append(u)
             i += 1
+        else:
+            out.append(v if sign > 0 else (p, q, -r, w))
             j += 1
     out.extend(x[i:])
-    out.extend(y[j:] if sign > 0 else ((q, -d) for q, d in y[j:]))
+    out.extend(y[j:] if sign > 0 else ((p, q, -r, w) for p, q, r, w in y[j:]))
     return tuple(out)
 
 
-def val_diff(a: PuiseuxElement, b: PuiseuxElement):
-    """val(a - b) without building a - b: the least exponent at which the
-    two sorted term sequences differ, or +inf when a == b."""
-    x, y = a.terms, b.terms
+def val_diff_pair(x, y):
+    """val(x - y) for canonical term tuples x, y, as the int pair
+    (numerator, denominator), or None when x == y."""
     for u, v in zip(x, y):
         if u != v:
             # same exponent and different coefficients, or the smaller
             # exponent is a term of one side only
-            return min(u[0], v[0])
-    n = min(len(x), len(y))
-    if len(x) > n:
-        return x[n][0]
-    if len(y) > n:
-        return y[n][0]
-    return INF
+            return u[:2] if u[0] * v[1] <= v[0] * u[1] else v[:2]
+    if len(x) != len(y):
+        return x[len(y)][:2] if len(x) > len(y) else y[len(x)][:2]
+    return None
 
 
 _TERM_RE = re.compile(
@@ -208,7 +245,7 @@ def parse_element(text: str) -> PuiseuxElement:
 def element_to_json(x: PuiseuxElement) -> list[dict]:
     return [
         {"exp": format_rational(q), "coeff": format_rational(c)}
-        for q, c in x.terms
+        for q, c in x.pairs()
     ]
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .metric_graph import MetricGraph
 from .points import Type1, Type2, join
-from .puiseux import PuiseuxElement, val_diff
+from .puiseux import PuiseuxElement, val_diff_pair
 
 
 def puncture_label(p: Type1) -> str:
@@ -31,18 +31,20 @@ def puncture_label(p: Type1) -> str:
 
 
 def _point_key(x: Type2):
-    return (x.s, tuple(x.center.terms))
+    # by value: the int tuples of the terms would sort 1/2 before 2/5
+    return (x.s, x.center.pairs())
 
 
 def _contains(outer: Type2, inner: Type2) -> bool:
     """Ball containment: outer >= inner."""
-    return outer.s <= inner.s and (
-        val_diff(outer.center, inner.center) >= outer.s
-    )
+    return outer.s <= inner.s and _contains_type1(outer, inner.center)
 
 
 def _contains_type1(outer: Type2, value: PuiseuxElement) -> bool:
-    return val_diff(outer.center, value) >= outer.s
+    """val(outer.center - value) >= outer.s, compared in ints."""
+    v = val_diff_pair(outer.center.terms, value.terms)
+    return v is None or (v[0] * outer.s.denominator
+                         >= outer.s.numerator * v[1])
 
 
 @dataclass(frozen=True)
@@ -78,21 +80,14 @@ def build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     has_inf = len(finite) < len(punctures)
 
     anchors = list(finite) + [Type2(v.center, v.s) for v in extra_vertices]
-    points: dict[tuple, Type2] = {}
-
-    def add(pt: Type2):
-        points.setdefault(_point_key(pt), pt)
-
-    for i in range(len(anchors)):
-        for j in range(i + 1, len(anchors)):
-            add(join(anchors[i], anchors[j]))
-    for v in extra_vertices:
-        add(v)
+    points = {join(a, b) for i, a in enumerate(anchors)
+              for b in anchors[i + 1:]}
+    points.update(extra_vertices)
     if len(finite) == 1:
         # the two-puncture line {a, inf}: canonical vertex at radius 0
-        add(Type2(finite[0].value, Fraction(0)))
+        points.add(Type2(finite[0].value, Fraction(0)))
 
-    placed = sorted(points.values(), key=_point_key)
+    placed = sorted(points, key=_point_key)
     placement = {f"v{i}": p for i, p in enumerate(placed)}
     ids = list(placement)
 

@@ -1,6 +1,7 @@
 """Shared test oracles: brute-force tree membership and nearest-point
 search, the canonicalising Puiseux arithmetic that the merge-based
-operators and ``val_diff`` replace, the all-pairs skeleton builder and
+operators and ``val_diff_pair`` replace, the Fraction kernel that the int term
+tuples of ``puiseux`` replace, the all-pairs skeleton builder and
 retraction that the radius-order rules in ``skeleton`` replace, the
 retraction sampler that ``randfix.rand_type2`` replaces, and the
 rescan-and-rebuild stabilization that the incidence index in ``stable``
@@ -11,17 +12,17 @@ replaces."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from skeletron.metric_graph import MetricGraph, euler_char
 from skeletron.newton import eval_trop
 from skeletron.oracle import tropicalize
 from skeletron.points import Type1, Type2, eval_val, join, path_distance
-from skeletron.puiseux import PuiseuxElement, val_diff
+from skeletron.puiseux import PuiseuxElement, val_diff_pair
 from skeletron.skeleton import (
     SkeletonTree,
     _contains,
     _contains_type1,
-    _point_key,
     puncture_label,
 )
 from skeletron.slopes import _as_int
@@ -29,17 +30,89 @@ from skeletron.stable import CHI_ZERO_DIAGNOSTIC, StabilizationReport
 from skeletron.valq import INF
 
 
+def val_diff(x: PuiseuxElement, y: PuiseuxElement):
+    """val(x - y) as a Fraction, or INF when x == y."""
+    v = val_diff_pair(x.terms, y.terms)
+    return INF if v is None else Fraction(*v)
+
+
+# The Fraction kernel that the int term tuples replace, as it stood in
+# ``puiseux``: ``val_diff``, ``_merge``, ``__mul__`` and ``truncate_below``
+# over terms given as sorted (exponent, coefficient) Fraction pairs.
+
+def ref_val_diff(x, y):
+    for u, v in zip(x, y):
+        if u != v:
+            return min(u[0], v[0])
+    n = min(len(x), len(y))
+    if len(x) > n:
+        return x[n][0]
+    if len(y) > n:
+        return y[n][0]
+    return INF
+
+
+def ref_merge(x, y, sign):
+    out = []
+    i = j = 0
+    nx, ny = len(x), len(y)
+    while i < nx and j < ny:
+        p, c = x[i]
+        q, d = y[j]
+        if p < q:
+            out.append(x[i])
+            i += 1
+        elif q < p:
+            out.append(y[j] if sign > 0 else (q, -d))
+            j += 1
+        else:
+            e = c + d if sign > 0 else c - d
+            if e:
+                out.append((p, e))
+            i += 1
+            j += 1
+    out.extend(x[i:])
+    out.extend(y[j:] if sign > 0 else ((q, -d) for q, d in y[j:]))
+    return tuple(out)
+
+
+def ref_mul_terms(x, y):
+    acc = {}
+    for q1, c1 in x:
+        for q2, c2 in y:
+            q = q1 + q2
+            c = acc.get(q)
+            acc[q] = c1 * c2 if c is None else c + c1 * c2
+    return tuple(sorted((q, c) for q, c in acc.items() if c))
+
+
+def ref_truncate_below(x, s):
+    return tuple((q, c) for q, c in x if q < s)
+
+
+def is_canonical(x: PuiseuxElement) -> bool:
+    """Reduced fractions with positive denominators, nonzero coefficients
+    and strictly increasing exponents."""
+    pairs = x.pairs()
+    return all(
+        q > 0 and b > 0 and a != 0 and gcd(p, q) == 1 == gcd(a, b)
+        for p, q, a, b in x.terms
+    ) and all(u[0] < v[0] for u, v in zip(pairs, pairs[1:]))
+
+
 def ref_add(x: PuiseuxElement, y: PuiseuxElement) -> PuiseuxElement:
-    return PuiseuxElement.from_terms(x.terms + y.terms)
+    return PuiseuxElement.from_terms(x.pairs() + y.pairs())
 
 
 def ref_sub(x: PuiseuxElement, y: PuiseuxElement) -> PuiseuxElement:
-    return ref_add(x, PuiseuxElement(tuple((q, -c) for q, c in y.terms)))
+    return ref_add(x, PuiseuxElement.from_terms(
+        (q, -c) for q, c in y.pairs()))
 
 
 def ref_mul(x: PuiseuxElement, y: PuiseuxElement) -> PuiseuxElement:
     return PuiseuxElement.from_terms(
-        (q1 + q2, c1 * c2) for q1, c1 in x.terms for q2, c2 in y.terms
+        (q1 + q2, c1 * c2)
+        for q1, c1 in x.pairs() for q2, c2 in y.pairs()
     )
 
 
@@ -95,6 +168,11 @@ def ref_eval_val_newton(f, x: Type2) -> Fraction:
     return total
 
 
+def ref_point_key(x: Type2):
+    """Vertex order by value: radius, then the center's Fraction terms."""
+    return (x.s, x.center.pairs())
+
+
 def ref_build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     """Skeleton tree with each parent found by scanning every vertex and
     each ray base by a second full scan."""
@@ -110,7 +188,7 @@ def ref_build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     points: dict[tuple, Type2] = {}
 
     def add(pt: Type2):
-        points.setdefault(_point_key(pt), pt)
+        points.setdefault(ref_point_key(pt), pt)
 
     for i in range(len(anchors)):
         for j in range(i + 1, len(anchors)):
@@ -120,7 +198,7 @@ def ref_build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     if len(finite) == 1:
         add(Type2(finite[0].value, Fraction(0)))
 
-    placed = sorted(points.values(), key=_point_key)
+    placed = sorted(points.values(), key=ref_point_key)
     placement = {f"v{i}": p for i, p in enumerate(placed)}
     ids = list(placement)
 
@@ -141,7 +219,7 @@ def ref_build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
 
     rays = []
     ray_target = {}
-    root = min(ids, key=lambda v: _point_key(placement[v]))
+    root = min(ids, key=lambda v: ref_point_key(placement[v]))
     for p in punctures:
         label = puncture_label(p)
         if p.is_infinity():

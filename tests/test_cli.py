@@ -344,3 +344,31 @@ def test_selftest_certifies_fixture_files(tmp_path, monkeypatch, capsys):
                      {"fixture": "b.json", "pass": True}],
         "verdict": "pass",
     }
+
+
+def test_relative_file_path_starting_with_bracket(tmp_path, monkeypatch,
+                                                  capsys):
+    # a file of that name exists, so the argument is read as a path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "[p].json").write_text(json.dumps(WORKED_PUNCTURES))
+    assert run(["skeleton", "--punctures", "[p].json"]) == 0
+    from_file = capsys.readouterr().out
+    assert run(["skeleton", "--punctures", json.dumps(WORKED_PUNCTURES)]) == 0
+    assert from_file == capsys.readouterr().out
+
+
+def test_selftest_fixture_dir_starting_with_bracket(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(cli, "run_all", lambda seed: [])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "[fx]").mkdir()
+    (tmp_path / "[fx]" / "a.json").write_text(json.dumps(
+        {"f": WORKED_FUNC, "punctures": WORKED_PUNCTURES}))
+    monkeypatch.setenv("SKELETRON_FIXTURES", "[fx]")
+    assert run(["selftest", "--samples", "5"]) == 0
+    relative = capsys.readouterr().out
+    monkeypatch.setenv("SKELETRON_FIXTURES", str(tmp_path / "[fx]"))
+    assert run(["selftest", "--samples", "5"]) == 0
+    assert relative == capsys.readouterr().out
+    assert json.loads(relative)["fixtures"] == [
+        {"fixture": "a.json", "pass": True}]

@@ -8,11 +8,10 @@ from skeletron.puiseux import (
     element_from_json,
     element_to_json,
     parse_element,
-    val_diff,
 )
 from skeletron.valq import INF
 
-from helpers import ref_add, ref_mul, ref_sub
+from helpers import ref_add, ref_mul, ref_sub, val_diff
 
 t = PuiseuxElement.monomial(1, 1)
 one = PuiseuxElement.constant(1)

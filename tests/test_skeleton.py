@@ -224,3 +224,26 @@ def test_retract_fixes_lone_extra_vertex():
                                extra_vertices=[x])
     assert retract(x, tree) == x
     assert brute_nearest(x, tree) == x
+
+
+# pairs a < b whose raw int tuples (numerator, denominator) sort b first
+VALUE_VS_TUPLE = [
+    ("exponents", [(Fraction(2, 5), 1)], [(Fraction(1, 2), 1)]),
+    ("negative exponents", [(Fraction(-1, 2), 1)], [(Fraction(-2, 5), 1)]),
+    ("coefficients", [(0, Fraction(2, 5))], [(0, Fraction(1, 2))]),
+]
+
+
+@pytest.mark.parametrize("lo, hi", [case[1:] for case in VALUE_VS_TUPLE],
+                         ids=[case[0] for case in VALUE_VS_TUPLE])
+def test_vertex_ids_follow_value_order(lo, hi):
+    # two vertices at radius 3 whose centers are lo and hi
+    a, b = PuiseuxElement.from_terms(lo), PuiseuxElement.from_terms(hi)
+    assert a.terms > b.terms
+    tail = PuiseuxElement.monomial(1, 3)
+    punctures = [Type1(b), Type1(b + tail), Type1(a), Type1(a + tail), INF_PT]
+    got = build_skeleton_tree(punctures)
+    assert tree_to_json(got) == tree_to_json(
+        ref_build_skeleton_tree(punctures))
+    assert (got.placement["v1"], got.placement["v2"]) == (zeta(a, 3),
+                                                          zeta(b, 3))
