@@ -1,7 +1,9 @@
 """Acceptance criteria, runnable as a batch.
 
-Each criterion returns (name, passed, detail).  All checks are exact
-(zero tolerance); counts and time budgets follow the shipped contract.
+Each criterion returns (passed, detail, seconds, budget_s): the verdict,
+a one-line account, its wall time and its wall-clock budget.  All checks
+are exact (zero tolerance); counts and time budgets follow the shipped
+contract.
 """
 
 from __future__ import annotations
@@ -60,12 +62,30 @@ from .stable import (
 
 
 def _timed(budget_s, fn):
+    """(passed, detail, seconds, budget_s) of one criterion run."""
     t0 = time.monotonic()
     ok, detail = fn()
     dt = time.monotonic() - t0
     if dt > budget_s:
-        return False, f"{detail}; exceeded {budget_s}s budget ({dt:.1f}s)"
-    return ok, f"{detail} ({dt:.1f}s)"
+        return (False, f"{detail}; exceeded {budget_s}s budget ({dt:.1f}s)",
+                dt, budget_s)
+    return ok, f"{detail} ({dt:.1f}s)", dt, budget_s
+
+
+def _first_failure(report) -> str:
+    """Where a failing slope certificate first goes wrong: a vertex whose
+    outgoing slopes do not sum to zero, a ray whose slope is not the order
+    of f at its puncture, a retraction sample, or the degree sum."""
+    for vid, total in report.harmonicity.items():
+        if total != 0:
+            return f"vertex {vid}: outgoing slopes sum to {total}"
+    for mark, slope, expected, ok in report.ray_checks:
+        if not ok:
+            return f"ray {mark}: slope {slope}, order {expected}"
+    for k, (x, fx, ftau, ok) in enumerate(report.retraction_samples):
+        if not ok:
+            return f"sample {k} at {x}: F = {fx}, F at its retraction {ftau}"
+    return f"degree sum {report.degree_sum}"
 
 
 def criterion_1_slope_formula(seed=0):
@@ -80,7 +100,7 @@ def criterion_1_slope_formula(seed=0):
                 f, tree, samples=20, seed=rng.randrange(2**32)
             )
             if not report.verdict:
-                return False, f"fixture {i} failed"
+                return False, f"fixture {i} failed at {_first_failure(report)}"
         return True, "200 fixtures certified"
 
     return _timed(30, run)
@@ -383,8 +403,5 @@ CRITERIA = [
 
 
 def run_all(seed=0):
-    results = []
-    for name, fn in CRITERIA:
-        ok, detail = fn(seed)
-        results.append((name, ok, detail))
-    return results
+    """(name, passed, detail, seconds, budget_s) per criterion."""
+    return [(name, *fn(seed)) for name, fn in CRITERIA]

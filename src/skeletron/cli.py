@@ -198,7 +198,7 @@ def cmd_selftest(args) -> int:
     fixtures = [(path.name, *_load_fixture(path)) for path in paths]
     results = run_all(seed=args.seed)
     all_ok = True
-    for name, ok, detail in results:
+    for name, ok, detail, _, _ in results:
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] criterion {name}: {detail}", file=sys.stderr)
         all_ok &= ok
@@ -212,7 +212,9 @@ def cmd_selftest(args) -> int:
         all_ok &= rep.verdict
     _emit({
         "criteria": [
-            {"name": n, "pass": ok, "detail": d} for n, ok, d in results
+            {"name": n, "pass": ok, "detail": d, "seconds": round(dt, 3),
+             "budget_s": budget}
+            for n, ok, d, dt, budget in results
         ],
         "fixtures": fixture_rows,
         "verdict": "pass" if all_ok else "fail",

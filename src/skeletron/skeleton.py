@@ -7,22 +7,46 @@ containment; the root is the smallest ball containing every finite anchor,
 and the ray toward infinity (when infinity is a puncture) leaves the tree
 through the root.
 
+The tree is read off the ball order of ``_compare``.  On field elements it
+is the ultrametric order: x < y when, at the first exponent where their
+coefficients differ, x's coefficient is smaller (a missing term counts as
+0).  A closed ball (c, s) is the set of elements that agree with c below
+exponent s, so it is a contiguous run of that order; it sorts just before
+the run, so the order is a depth-first preorder of all balls and points.
+Three facts follow for anchors sorted this way:
+
+* the join of two anchors is the largest join of adjacent anchors between
+  them, so the n - 1 adjacent joins are all the pairwise joins, and two of
+  them are one ball iff they have the same radius and none between them
+  has a smaller one;
+* a vertex's parent is the deeper of the nearest joins of smaller radius
+  on its left and on its right, found for all of them in one stack pass
+  (the Cartesian tree of an LCP array, Kasai et al. 2001);
+* the deepest vertex containing an anchor, its ray base or its parent, is
+  the deeper of its two adjacent joins, and the deepest join of any point
+  with an anchor is its join with a neighbour of its insertion position.
+
+So a build costs n - 1 joins and O(n log n) comparisons.  The tree keeps
+its anchors (finite punctures, extra vertices and, on a two-puncture line
+{a, inf}, the ball (a, 0)) distinct and sorted in this order, so
+``retract`` costs a bisection and two joins; a puncture retracts to its
+ray base by one lookup.
+
 The vertex set is closed under joins, and ``v0, v1, ...`` number it in
 ``_point_key`` order, radius first.  So ``v0`` is the root, a vertex's
 parent is the nearest earlier vertex that contains it, and the ray toward
-a finite puncture starts at the last vertex that contains it.  Every
-vertex contains an anchor, and the retraction is the identity on the
-tree, so ``retract`` costs one join per anchor.
+a finite puncture starts at the last vertex that contains it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
 
 from .metric_graph import MetricGraph
 from .points import Type1, Type2, join
-from .puiseux import PuiseuxElement, val_diff_pair
 
 
 def puncture_label(p: Type1) -> str:
@@ -35,16 +59,55 @@ def _point_key(x: Type2):
     return (x.s, x.center.pairs())
 
 
-def _contains(outer: Type2, inner: Type2) -> bool:
-    """Ball containment: outer >= inner."""
-    return outer.s <= inner.s and _contains_type1(outer, inner.center)
+def _compare(x, y) -> int:
+    """Ball order of two finite points (type-1 points count as balls of
+    radius +inf): -1, 0 or 1 as x sorts before, equal to or after y.
+
+    Let e be the first exponent where the centres' coefficients differ.
+    If e is below both radii, the balls are disjoint, and the one whose
+    centre has the smaller coefficient at e sorts first.  Otherwise, or
+    with equal centres, one ball contains the other and the larger one
+    sorts first.  Compared in ints on the term tuples; ``sign`` is that of
+    x's coefficient at e minus y's."""
+    if isinstance(x, Type2):
+        cx, sx = x.center.terms, x.s
+    else:
+        cx, sx = x.value.terms, None
+    if isinstance(y, Type2):
+        cy, sy = y.center.terms, y.s
+    else:
+        cy, sy = y.value.terms, None
+    for u, v in zip(cx, cy):
+        if u != v:
+            d = u[0] * v[1] - v[0] * u[1]
+            if d < 0:    # the term u is x's alone: y's coefficient is 0
+                e, sign = u, u[2]
+            elif d > 0:  # the term v is y's alone
+                e, sign = v, -v[2]
+            else:
+                e, sign = u, u[2] * v[3] - v[2] * u[3]
+            break
+    else:
+        n = len(cy)
+        if len(cx) > n:
+            e = cx[n]
+            sign = e[2]
+        elif len(cx) < n:
+            e = cy[len(cx)]
+            sign = -e[2]
+        else:
+            e = None
+    larger = sy is None or (sx is not None and sx < sy)  # x's radius is less
+    if e is not None:
+        s = sx if larger else sy
+        if s is None or e[0] * s.denominator < s.numerator * e[1]:
+            return -1 if sign < 0 else 1
+    if sx == sy:
+        return 0
+    return -1 if larger else 1
 
 
-def _contains_type1(outer: Type2, value: PuiseuxElement) -> bool:
-    """val(outer.center - value) >= outer.s, compared in ints."""
-    v = val_diff_pair(outer.center.terms, value.terms)
-    return v is None or (v[0] * outer.s.denominator
-                         >= outer.s.numerator * v[1])
+_BALL_ORDER = cmp_to_key(_compare)
 
 
 @dataclass(frozen=True)
@@ -52,7 +115,9 @@ class SkeletonTree:
     graph: MetricGraph
     placement: dict            # vertex id -> Type2
     ray_target: dict           # marking label -> Type1 puncture
-    anchors: tuple             # finite punctures (Type1) and extra vertices
+    # the finite punctures (Type1) and extra vertices, plus the ball (a, 0)
+    # on a two-puncture line {a, inf}: distinct, in ``_compare`` order
+    anchors: tuple
     has_infinity: bool
 
     def root_id(self) -> str:
@@ -60,6 +125,11 @@ class SkeletonTree:
 
     def root_point(self) -> Type2:
         return self.placement[self.root_id()]
+
+    @cached_property
+    def ray_base(self) -> dict:
+        """Puncture (Type1) -> id of its ray's base vertex."""
+        return {self.ray_target[m]: b for b, m in self.graph.rays}
 
     def vertex_at(self, point: Type2):
         for vid, p in self.placement.items():
@@ -79,44 +149,63 @@ def build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     finite = [p for p in punctures if not p.is_infinity()]
     has_inf = len(finite) < len(punctures)
 
-    anchors = list(finite) + [Type2(v.center, v.s) for v in extra_vertices]
-    points = {join(a, b) for i, a in enumerate(anchors)
-              for b in anchors[i + 1:]}
-    points.update(extra_vertices)
+    seeds = set(finite)
+    seeds.update(Type2(v.center, v.s) for v in extra_vertices)
     if len(finite) == 1:
         # the two-puncture line {a, inf}: canonical vertex at radius 0
-        points.add(Type2(finite[0].value, Fraction(0)))
+        seeds.add(Type2(finite[0].value, Fraction(0)))
+    anchors = sorted(seeds, key=_BALL_ORDER)
 
-    placed = sorted(points, key=_point_key)
-    placement = {f"v{i}": p for i, p in enumerate(placed)}
-    ids = list(placement)
+    # one stack pass over the adjacent joins: the stack holds the vertices
+    # of the open chain, radius increasing; a join pops the deeper ones,
+    # the last of which hangs below it, and merges with an equal radius
+    balls = []     # the vertices, as found
+    parent = []    # index in balls of each vertex's parent; None at the root
+    of_join = []   # index in balls of each adjacent join
+    stack = []
+    for a, b in zip(anchors, anchors[1:]):
+        j = join(a, b)
+        last = None
+        while stack and balls[stack[-1]].s > j.s:
+            last = stack.pop()
+        if stack and balls[stack[-1]].s == j.s:
+            k = stack[-1]
+        else:
+            k = len(balls)
+            balls.append(j)
+            parent.append(stack[-1] if stack else None)
+            stack.append(k)
+        if last is not None:
+            parent[last] = k
+        of_join.append(k)
 
-    # the balls containing a vertex form a chain of smaller radii, so the
-    # nearest earlier one that contains it is its parent
-    edges = []
-    for k in range(1, len(placed)):
-        p = placed[k]
-        j = next(j for j in range(k - 1, -1, -1) if _contains(placed[j], p))
-        edges.append((ids[j], ids[k], p.s - placed[j].s))
+    # the deeper adjacent join: a puncture's ray base, and the parent of an
+    # extra vertex that contains no other anchor (a leaf of its own)
+    base_of = {}
+    for i, a in enumerate(anchors):
+        near = of_join[max(i - 1, 0):i + 1]
+        below = max(near, key=lambda k: balls[k].s)
+        if isinstance(a, Type1):
+            base_of[a] = below
+        elif balls[below] != a:
+            balls.append(a)
+            parent.append(below)
 
+    order = sorted(range(len(balls)), key=lambda k: _point_key(balls[k]))
+    ids = {k: f"v{n}" for n, k in enumerate(order)}
+    edges = [(ids[parent[k]], ids[k], balls[k].s - balls[parent[k]].s)
+             for k in order[1:]]
     rays = []
     ray_target = {}
     for p in punctures:
         label = puncture_label(p)
-        if p.is_infinity():
-            base = 0
-        else:  # the deepest ball containing the puncture
-            base = next(j for j in range(len(placed) - 1, -1, -1)
-                        if _contains_type1(placed[j], p.value))
-        rays.append((ids[base], label))
+        rays.append(("v0" if p.is_infinity() else ids[base_of[p]], label))
         ray_target[label] = p
 
-    graph = MetricGraph.make(
-        [(vid, 0) for vid in ids], edges, rays
-    )
+    graph = MetricGraph.make([(ids[k], 0) for k in order], edges, rays)
     return SkeletonTree(
         graph=graph,
-        placement=placement,
+        placement={ids[k]: balls[k] for k in order},
         ray_target=ray_target,
         anchors=tuple(anchors),
         has_infinity=has_inf,
@@ -130,12 +219,13 @@ def retract(x, tree: SkeletonTree):
     if isinstance(x, Type1):
         if x.is_infinity():
             return tree.root_point()
-        for label, target in tree.ray_target.items():
-            if x == target:
-                base = next(b for b, m in tree.graph.rays if m == label)
-                return tree.placement[base]
+        base = tree.ray_base.get(x)
+        if base is not None:
+            return tree.placement[base]
 
-    best = max((join(x, a) for a in tree.anchors), key=lambda j: j.s)
+    i = bisect_left(tree.anchors, _BALL_ORDER(x), key=_BALL_ORDER)
+    best = max((join(x, a) for a in tree.anchors[max(i - 1, 0):i + 1]),
+               key=lambda j: j.s)
     if not tree.has_infinity:
         rp = tree.root_point()
         if best.s < rp.s:

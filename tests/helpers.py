@@ -1,8 +1,8 @@
 """Shared test oracles: brute-force tree membership and nearest-point
 search, the canonicalising Puiseux arithmetic that the merge-based
 operators and ``val_diff_pair`` replace, the Fraction kernel that the int term
-tuples of ``puiseux`` replace, the all-pairs skeleton builder and
-retraction that the radius-order rules in ``skeleton`` replace, the
+tuples of ``puiseux`` replace, the all-pairs skeleton builders and
+anchor-scan retractions that the ball order in ``skeleton`` replaces, the
 retraction sampler that ``randfix.rand_type2`` replaces, and the
 rescan-and-rebuild stabilization that the incidence index in ``stable``
 replaces, the full recentering expansion that the precision cap in
@@ -19,12 +19,7 @@ from skeletron.newton import eval_trop
 from skeletron.oracle import tropicalize
 from skeletron.points import Type1, Type2, eval_val, join, path_distance
 from skeletron.puiseux import PuiseuxElement, val_diff_pair
-from skeletron.skeleton import (
-    SkeletonTree,
-    _contains,
-    _contains_type1,
-    puncture_label,
-)
+from skeletron.skeleton import SkeletonTree, puncture_label
 from skeletron.slopes import _as_int
 from skeletron.stable import CHI_ZERO_DIAGNOSTIC, StabilizationReport
 from skeletron.valq import INF
@@ -173,6 +168,99 @@ def ref_point_key(x: Type2):
     return (x.s, x.center.pairs())
 
 
+# The all-pairs builder and the anchor-scan retraction that the ball order
+# in ``skeleton`` replaces, as they stood there (with ``ref_point_key`` for
+# the library's equal ``_point_key``): every pairwise join of the anchors,
+# a backward scan for each parent and ray base, and one join per anchor.
+
+def _contains(outer: Type2, inner: Type2) -> bool:
+    """Ball containment: outer >= inner."""
+    return outer.s <= inner.s and _contains_type1(outer, inner.center)
+
+
+def _contains_type1(outer: Type2, value: PuiseuxElement) -> bool:
+    """val(outer.center - value) >= outer.s, compared in ints."""
+    v = val_diff_pair(outer.center.terms, value.terms)
+    return v is None or (v[0] * outer.s.denominator
+                         >= outer.s.numerator * v[1])
+
+
+def ref_pairwise_build_skeleton_tree(punctures,
+                                     extra_vertices=()) -> SkeletonTree:
+    """Metric tree spanned by all pairwise joins of the punctures and the
+    extra vertices, with one ray per puncture."""
+    punctures = list(punctures)
+    if len(punctures) < 2:
+        raise ValueError("need at least two punctures to span a skeleton")
+    if len(set(punctures)) != len(punctures):
+        raise ValueError("punctures must be pairwise distinct")
+    finite = [p for p in punctures if not p.is_infinity()]
+    has_inf = len(finite) < len(punctures)
+
+    anchors = list(finite) + [Type2(v.center, v.s) for v in extra_vertices]
+    points = {join(a, b) for i, a in enumerate(anchors)
+              for b in anchors[i + 1:]}
+    points.update(extra_vertices)
+    if len(finite) == 1:
+        # the two-puncture line {a, inf}: canonical vertex at radius 0
+        points.add(Type2(finite[0].value, Fraction(0)))
+
+    placed = sorted(points, key=ref_point_key)
+    placement = {f"v{i}": p for i, p in enumerate(placed)}
+    ids = list(placement)
+
+    # the balls containing a vertex form a chain of smaller radii, so the
+    # nearest earlier one that contains it is its parent
+    edges = []
+    for k in range(1, len(placed)):
+        p = placed[k]
+        j = next(j for j in range(k - 1, -1, -1) if _contains(placed[j], p))
+        edges.append((ids[j], ids[k], p.s - placed[j].s))
+
+    rays = []
+    ray_target = {}
+    for p in punctures:
+        label = puncture_label(p)
+        if p.is_infinity():
+            base = 0
+        else:  # the deepest ball containing the puncture
+            base = next(j for j in range(len(placed) - 1, -1, -1)
+                        if _contains_type1(placed[j], p.value))
+        rays.append((ids[base], label))
+        ray_target[label] = p
+
+    graph = MetricGraph.make(
+        [(vid, 0) for vid in ids], edges, rays
+    )
+    return SkeletonTree(
+        graph=graph,
+        placement=placement,
+        ray_target=ray_target,
+        anchors=tuple(anchors),
+        has_infinity=has_inf,
+    )
+
+
+def ref_anchor_retract(x, tree: SkeletonTree):
+    """Closest point of the tree's realization to x (the entry point of
+    x's complement component into the skeleton).  Idempotent on tree
+    points; punctures retract to the base vertex of their ray."""
+    if isinstance(x, Type1):
+        if x.is_infinity():
+            return tree.root_point()
+        for label, target in tree.ray_target.items():
+            if x == target:
+                base = next(b for b, m in tree.graph.rays if m == label)
+                return tree.placement[base]
+
+    best = max((join(x, a) for a in tree.anchors), key=lambda j: j.s)
+    if not tree.has_infinity:
+        rp = tree.root_point()
+        if best.s < rp.s:
+            return rp
+    return best
+
+
 def ref_build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     """Skeleton tree with each parent found by scanning every vertex and
     each ray base by a second full scan."""
@@ -309,6 +397,33 @@ def ref_random_type2(rng: random.Random) -> Type2:
     center = PuiseuxElement.from_terms(terms)
     s = Fraction(rng.randint(-12, 20), rng.randint(1, 4))
     return Type2(center, s)
+
+
+def two_term_roots(rng: random.Random, n: int, clustered: bool):
+    """n distinct roots c1*t^q1 + c2*t^q2 in the manner of the
+    certify-wide benchmark: clustered roots share one of three leading
+    terms (deep chains), spread ones one of eight leading exponents
+    (bushy)."""
+    groups = 3 if clustered else 8
+    exps = [Fraction(e, 4) for e in rng.sample(range(-24, 25), groups)]
+    coeffs = [Fraction(p, q) for p in range(-9, 10) if p for q in (1, 2, 3)]
+    leads = [rng.choice(coeffs) for _ in exps]
+    roots = set()
+    while len(roots) < n:
+        i = len(roots)
+        q1 = exps[i % groups]
+        c1 = leads[i % groups] if clustered else rng.choice(coeffs)
+        gap = Fraction(rng.randint(1, 400), rng.randint(1, 6))
+        roots.add(PuiseuxElement.from_terms(
+            [(q1, c1), (q1 + gap, rng.choice(coeffs))]))
+    return sorted(roots, key=PuiseuxElement.pairs)
+
+
+def lone_extra(x, tree: SkeletonTree) -> bool:
+    """x is an extra vertex with no other anchor below it."""
+    return x in tree.anchors and all(
+        a == x or join(x, a) != x for a in tree.anchors
+    )
 
 
 def on_tree(p: Type2, tree: SkeletonTree) -> bool:

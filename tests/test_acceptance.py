@@ -10,6 +10,7 @@ from skeletron.acceptance import CRITERIA
     "name,criterion", CRITERIA, ids=[name for name, _ in CRITERIA]
 )
 def test_criterion(name, criterion):
-    ok, detail = criterion(seed=0)
+    ok, detail, seconds, budget_s = criterion(seed=0)
+    assert 0 <= seconds and budget_s > 0
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, detail

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import skeletron
-from skeletron import cli, io_json
+from skeletron import acceptance, cli, io_json
 from skeletron.cli import run
 from skeletron.metric_graph import MetricGraph
 
@@ -372,3 +374,75 @@ def test_selftest_fixture_dir_starting_with_bracket(tmp_path, monkeypatch,
     assert relative == capsys.readouterr().out
     assert json.loads(relative)["fixtures"] == [
         {"fixture": "a.json", "pass": True}]
+
+
+def test_selftest_reports_seconds_and_budget(monkeypatch, capsys):
+    # two fast criteria, run for real
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        ("8 Tate relation", acceptance.criterion_8_tate),
+        ("9 worked fixture", acceptance.criterion_9_worked_fixture)])
+    assert run(["selftest"]) == 0
+    rows = json.loads(capsys.readouterr().out)["criteria"]
+    assert [row["name"] for row in rows] == ["8 Tate relation",
+                                             "9 worked fixture"]
+    for row in rows:
+        assert row["pass"] is True
+        assert isinstance(row["seconds"], float)
+        assert 0 <= row["seconds"] <= row["budget_s"]
+        assert row["budget_s"] == 5
+        assert row["detail"].endswith("s)")  # the wall time, as before
+
+
+def _spoil(**fields):
+    """verify_slope_formula, with the named report fields replaced."""
+    real = acceptance.verify_slope_formula
+
+    def spoiled(*args, **kwargs):
+        report = real(*args, **kwargs)
+        changed = {k: make(report) for k, make in fields.items()}
+        return dataclasses.replace(report, verdict=False, **changed)
+
+    return spoiled
+
+
+def _bad_vertex(report):
+    first = next(iter(report.harmonicity))
+    return {**report.harmonicity, first: 3}
+
+
+def _bad_ray(report):
+    mark, slope, expected, _ = report.ray_checks[-1]
+    return report.ray_checks[:-1] + ((mark, slope + 1, expected, False),)
+
+
+def _bad_sample(report):
+    x, fx, _, _ = report.retraction_samples[4]
+    rows = list(report.retraction_samples)
+    rows[4] = (x, fx, fx + 1, False)
+    return tuple(rows)
+
+
+FAILURES = [
+    ({"harmonicity": _bad_vertex}, r"fixture 0 failed at vertex v0: "
+                                   r"outgoing slopes sum to 3"),
+    ({"ray_checks": _bad_ray}, r"fixture 0 failed at ray \S+: slope -?\d+, "
+                               r"order -?\d+"),
+    ({"retraction_samples": _bad_sample},
+     r"fixture 0 failed at sample 4 at zeta\(.*\): F = \S+, "
+     r"F at its retraction \S+"),
+    ({}, r"fixture 0 failed at degree sum 0"),
+]
+
+
+@pytest.mark.parametrize("fields, detail", FAILURES,
+                         ids=["vertex", "ray", "sample", "degree"])
+def test_selftest_names_the_first_failure(fields, detail, monkeypatch,
+                                          capsys):
+    monkeypatch.setattr(acceptance, "verify_slope_formula", _spoil(**fields))
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        ("1 slope-formula suite", acceptance.criterion_1_slope_formula)])
+    assert run(["selftest"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["criteria"]
+    assert row["pass"] is False
+    assert re.fullmatch(detail + r" \(\d+\.\ds\)", row["detail"])
+    assert row["budget_s"] == 30

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from skeletron.io_json import tree_to_json
-from skeletron.points import INFINITY, Type1, Type2, join, path_distance
+from skeletron.points import INFINITY, Type1, Type2, path_distance
 from skeletron.puiseux import PuiseuxElement
 from skeletron.randfix import rand_puiseux, rand_roots, rand_type2
 from skeletron.skeleton import build_skeleton_tree, retract
@@ -12,6 +12,7 @@ from skeletron.skeleton import build_skeleton_tree, retract
 from helpers import (
     brute_nearest,
     grid_points,
+    lone_extra,
     on_tree,
     ref_build_skeleton_tree,
     ref_retract,
@@ -191,13 +192,6 @@ def test_build_matches_reference():
         )
 
 
-def _lone_extra(x, tree):
-    """x is an extra vertex with no other anchor below it."""
-    return x in tree.anchors and all(
-        a == x or join(x, a) != x for a in tree.anchors
-    )
-
-
 def test_retract_matches_reference_except_at_lone_extras():
     rng = random.Random(8)
     lone = 0
@@ -208,7 +202,7 @@ def test_retract_matches_reference_except_at_lone_extras():
         points += punctures + [Type1(rand_puiseux(rng)) for _ in range(3)]
         for x in points:
             got = retract(x, tree)
-            if isinstance(x, Type2) and _lone_extra(x, tree):
+            if isinstance(x, Type2) and lone_extra(x, tree):
                 lone += 1
                 assert got == x == brute_nearest(x, tree)
             else:

@@ -22,7 +22,7 @@ from skeletron.randfix import (
 from skeletron.skeleton import build_skeleton_tree
 from skeletron.slopes import compute_F, verify_slope_formula
 
-from helpers import ref_random_type2, ref_ray_slope
+from helpers import ref_random_type2, ref_ray_slope, two_term_roots
 
 ZERO = PuiseuxElement.zero()
 ONE = PuiseuxElement.constant(1)
@@ -138,24 +138,6 @@ def test_negative_control_misplaced_ray_base():
         "0", 2, 1, False)
 
 
-def _two_term_roots(rng: random.Random, n: int, clustered: bool):
-    """n distinct roots c1*t^q1 + c2*t^q2 as in the certify-wide benchmark:
-    clustered roots share one of three leading terms (deep chains), spread
-    ones one of eight leading exponents (bushy)."""
-    groups = 3 if clustered else 8
-    exps = [Fraction(e, 4) for e in rng.sample(range(-24, 25), groups)]
-    coeffs = [Fraction(p, q) for p in range(-9, 10) if p for q in (1, 2, 3)]
-    leads = [rng.sample(coeffs, -(-n // groups)) for _ in exps]
-    gaps = rng.sample(range(1, 97), n)
-    roots = []
-    for i, gap in enumerate(gaps):
-        q1 = exps[i % groups]
-        c1 = leads[i % groups][0 if clustered else i // groups]
-        roots.append(PuiseuxElement.from_terms(
-            [(q1, c1), (q1 + Fraction(gap, 4), rng.choice(coeffs))]))
-    return roots
-
-
 def _ray_slope_cases():
     """(f, tree) pairs: random functions under 0-3 extra vertices,
     two-term roots, two-puncture lines, an extra vertex as the root, and
@@ -166,7 +148,7 @@ def _ray_slope_cases():
         extras = [rand_type2(rng) for _ in range(k % 4)]
         yield f, build_skeleton_tree(punctures_of(f), extras)
     for n, clustered in ((16, True), (16, False), (24, True), (32, False)):
-        roots = _two_term_roots(rng, n, clustered)
+        roots = two_term_roots(rng, n, clustered)
         f = RationalFunction.make(rand_rational(rng), [
             (r, rng.choice((-2, -1, 1, 2))) for r in roots])
         yield f, build_skeleton_tree(punctures_of(f))
