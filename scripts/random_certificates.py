@@ -13,13 +13,14 @@ import time
 from collections import Counter
 
 from skeletron import build_skeleton_tree, verify_slope_formula
+from skeletron.cli import nonnegative_int
 from skeletron.randfix import punctures_of, rand_rational_function
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=200)
-    ap.add_argument("--samples", type=int, default=20,
+    ap.add_argument("--count", type=nonnegative_int, default=200)
+    ap.add_argument("--samples", type=nonnegative_int, default=20,
                     help="off-skeleton retraction samples per function")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()

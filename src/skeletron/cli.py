@@ -76,8 +76,8 @@ def _load_object(arg: str, option: str) -> dict:
     return _check_object(_load_json(arg), option)
 
 
-def _sample_count(text: str) -> int:
-    """argparse type of --samples: a count of zero or more."""
+def nonnegative_int(text: str) -> int:
+    """argparse type of a count of zero or more, such as --samples."""
     try:
         n = int(text)
     except ValueError:
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("slope-check", help="slope-formula certificate")
     s.add_argument("--f", required=True, help="rational function JSON")
     s.add_argument("--punctures", required=True, help="JSON list of points")
-    s.add_argument("--samples", type=_sample_count, default=20)
+    s.add_argument("--samples", type=nonnegative_int, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--emit-plot", help="write a plain-text slope table")
     s.set_defaults(fn=cmd_slope_check)
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selftest", help="run the acceptance suite")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--samples", type=_sample_count, default=20)
+    s.add_argument("--samples", type=nonnegative_int, default=20)
     s.set_defaults(fn=cmd_selftest)
     return p
 
@@ -275,10 +275,7 @@ def run(argv) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as e:
+    except (InputError, ValueError, TypeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except KeyError as e:

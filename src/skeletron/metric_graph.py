@@ -142,10 +142,11 @@ def euler_char(g: MetricGraph) -> int:
     return 2 - 2 * total_genus(g) - len(g.rays)
 
 
-def fresh_vertex_id(g: MetricGraph, stem: str = "w") -> str:
+def fresh_vertex_id(g: MetricGraph) -> str:
+    """The first of w0, w1, ... that is not a vertex of g."""
     ids = set(g.vertex_ids())
     for k in itertools.count():
-        cand = f"{stem}{k}"
+        cand = f"w{k}"
         if cand not in ids:
             return cand
 

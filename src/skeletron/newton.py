@@ -14,6 +14,7 @@ breakpoints is strictly decreasing.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from .valq import INF, NEG_INF
 class Interval:
     """Trop-interval of a (generalized) annulus; endpoints may be infinite.
 
-    A degenerate [c, c] interval (modulus-zero annulus) is allowed.
+    A degenerate [c, c] interval (modulus-zero annulus) is allowed for a
+    finite c; [inf, inf] and [-inf, -inf] are rejected.
     """
 
     lo: object  # Fraction or -inf
@@ -33,12 +35,12 @@ class Interval:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+        if self.lo == INF or self.hi == NEG_INF:
+            raise ValueError(
+                f"interval [{self.lo}, {self.hi}] has no finite point")
 
     def length(self):
         return self.hi - self.lo
-
-    def contains_interior(self, s) -> bool:
-        return self.lo < s < self.hi
 
 
 @dataclass(frozen=True)
@@ -99,15 +101,17 @@ def _envelope(f: TropicalLaurent):
     """Pieces of s -> min_n(v_n + n*s): list of (slope n, v_n) in order of
     decreasing slope, plus the crossing s between consecutive pieces.
 
-    The piece with the largest n is active for the smallest s.
+    The piece with the largest n is active for the smallest s.  Piece i is
+    the only minimizer strictly between crossings i - 1 and i, and at a
+    crossing the minimizers are the exponents on the hull segment between
+    its two pieces, so every question about the minimizing exponent is a
+    bisection into the crossings.
     """
-    hull = _lower_hull(list(f.terms))
-    # hull is ordered by increasing n; crossing between (n1,v1),(n2,v2):
-    #   v1 + n1*s = v2 + n2*s  =>  s = (v1 - v2)/(n2 - n1)
-    pieces = list(reversed(hull))  # decreasing n = order of increasing s
-    crossings = []
-    for (n2, v2), (n1, v1) in zip(pieces, pieces[1:]):
-        crossings.append(Fraction(v2 - v1, n2 - n1) * -1)
+    hull = _lower_hull(f.terms)
+    pieces = hull[::-1]  # decreasing n = order of increasing s
+    # v2 + n2*s = v1 + n1*s between consecutive pieces, n2 > n1
+    crossings = [(v1 - v2) / (n2 - n1)
+                 for (n2, v2), (n1, v1) in zip(pieces, pieces[1:])]
     return pieces, crossings
 
 
@@ -115,28 +119,18 @@ def breakpoints(f: TropicalLaurent, interval: Interval) -> list[Breakpoint]:
     """All interior points of the interval where the minimizing exponent
     changes, with the flanking integer slopes, sorted ascending."""
     pieces, crossings = _envelope(f)
-    out = []
-    for i, s in enumerate(crossings):
-        if interval.contains_interior(s):
-            out.append(
-                Breakpoint(s=s, slope_left=pieces[i][0], slope_right=pieces[i + 1][0])
-            )
-    return out
+    return [Breakpoint(s=s, slope_left=pieces[i][0],
+                       slope_right=pieces[i + 1][0])
+            for i, s in enumerate(crossings)
+            if interval.lo < s < interval.hi]
 
 
 def slope_at(f: TropicalLaurent, s) -> tuple[int, int]:
-    """(left, right) slopes of the evaluation function at s."""
-    s = Fraction(s)
+    """(left, right) slopes of the evaluation function at s; at s = -inf
+    or +inf both are the slope of the first or the last piece."""
     pieces, crossings = _envelope(f)
-    left = right = None
-    for i in range(len(pieces)):
-        lo = crossings[i - 1] if i > 0 else NEG_INF
-        hi = crossings[i] if i < len(crossings) else INF
-        if lo < s <= hi:
-            left = pieces[i][0]
-        if lo <= s < hi:
-            right = pieces[i][0]
-    return left, right
+    return (pieces[bisect_left(crossings, s)][0],
+            pieces[bisect_right(crossings, s)][0])
 
 
 def slope_change_count(zeros_poles, s) -> int:
@@ -156,38 +150,19 @@ def slope_change_count(zeros_poles, s) -> int:
     return total
 
 
-def _strict_minimizer(f: TropicalLaurent, s):
-    """Exponent strictly minimizing v_n + n*s at s, or None on a tie."""
-    vals = [(v + n * s, n) for n, v in f.terms]
-    best = min(v for v, _ in vals)
-    winners = [n for v, n in vals if v == best]
-    return winners[0] if len(winners) == 1 else None
-
-
 def unit_decomposition(f: TropicalLaurent, interval: Interval):
     """Return (d, val_alpha) iff a single term strictly dominates on the
     whole closed interval: f is then a unit alpha*t^d*(1+g) on the annulus.
 
     Returns None when f has a zero on the closed annulus, including a tie
-    at an endpoint (a zero on the boundary circle).
+    at an endpoint (a zero on the boundary circle), that is when a
+    crossing of the envelope lies in the closed interval.
     """
-    # strict domination at both endpoints forces it everywhere between:
-    # the difference against any other term is affine in s
-    if len(f.terms) == 1:
-        n, v = f.terms[0]
-        return n, v
-    if interval.lo == NEG_INF:
-        lo_min = max(n for n, _ in f.terms)  # dominant piece as s -> -inf
-    else:
-        lo_min = _strict_minimizer(f, interval.lo)
-    if interval.hi == INF:
-        hi_min = min(n for n, _ in f.terms)  # dominant piece as s -> +inf
-    else:
-        hi_min = _strict_minimizer(f, interval.hi)
-    if lo_min is None or hi_min is None or lo_min != hi_min:
+    pieces, crossings = _envelope(f)
+    i = bisect_left(crossings, interval.lo)
+    if i < len(crossings) and crossings[i] <= interval.hi:
         return None
-    d = lo_min
-    return d, dict(f.terms)[d]
+    return pieces[i]
 
 
 def map_skeleton(d: int, val_alpha, interval: Interval) -> Interval:
@@ -197,15 +172,6 @@ def map_skeleton(d: int, val_alpha, interval: Interval) -> Interval:
     if d == 0:
         raise ValueError("d = 0: induced morphism is not finite")
     val_alpha = Fraction(val_alpha)
-
-    def img(x):
-        if x == INF:
-            return INF if d > 0 else NEG_INF
-        if x == NEG_INF:
-            return NEG_INF if d > 0 else INF
-        return d * x + val_alpha
-
-    a, b = img(interval.lo), img(interval.hi)
-    if d > 0:
-        return Interval(a, b)
-    return Interval(b, a)
+    # d * inf is an infinity of d's sign, and adding val_alpha keeps it
+    return Interval(*sorted((d * interval.lo + val_alpha,
+                             d * interval.hi + val_alpha)))

@@ -28,6 +28,14 @@ After the last factor the slack is 0, so each returned c_n equals the full
 c_n restricted to exponents <= B - n*s.  The n attaining the minimum, which
 is at most B, keeps its lowest monomial and so its exact valuation; every
 c_n cut down to zero had val c_n + n*s > B.  The result is therefore exact.
+
+Inside the spread of the shift valuations the cap leaves a window
+B - sum of min(val shift_i, s) open, about 20 at 40 two-term roots, and
+such a point takes up to seconds.  The window stays open on purpose:
+closing it needs the exact valuation of the split coefficient c_n,
+n = #{i : val shift_i > s}, and that valuation is the Gauss-norm formula
+that ``points.eval_val`` evaluates, so the oracle would no longer be an
+independent check of it.
 """
 
 from __future__ import annotations

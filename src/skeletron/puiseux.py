@@ -15,8 +15,8 @@ compares done in C.  Only an order between exponents needs a
 cross-multiplication.  The raw tuples do not sort by value (1/2 comes
 before 2/5), so terms are kept in exponent order by value.  ``Fraction``
 stays at the boundary: ``from_terms`` and ``monomial`` take any rationals,
-and ``valuation``, ``pairs``, ``__str__`` and the JSON helpers give
-``Fraction`` values back.
+and ``valuation`` and ``pairs`` give ``Fraction`` values back;
+``__str__`` and ``element_to_json`` format the int tuples directly.
 
 ``val_diff_pair(x, y)`` is the single valuation-of-a-difference primitive:
 it answers val(x - y) for two term tuples by walking them side by side,
@@ -34,11 +34,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .valq import INF, format_rational, parse_rational
+from .valq import INF, parse_rational
 
 
 def _term(q: Fraction, c: Fraction) -> tuple:
     return (q.numerator, q.denominator, c.numerator, c.denominator)
+
+
+def _rat(n: int, d: int) -> str:
+    """A reduced fraction n/d, d > 0, as "n" or "n/d"."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 @dataclass(frozen=True)
@@ -126,17 +131,18 @@ class PuiseuxElement:
         if not self.terms:
             return "0"
         parts = []
-        for q, c in self.pairs():
-            if q == 0:
-                parts.append(str(c))
+        for p, q, a, b in self.terms:
+            if p == 0:
+                parts.append(_rat(a, b))
             else:
-                coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                if q == 1:
+                coeff = ("" if a == b else "-" if a == -b
+                         else f"{_rat(a, b)}*")
+                if p == q:
                     parts.append(f"{coeff}t")
-                elif q.denominator == 1 and q >= 0:
-                    parts.append(f"{coeff}t^{q}")
+                elif q == 1 and p >= 0:
+                    parts.append(f"{coeff}t^{p}")
                 else:
-                    parts.append(f"{coeff}t^({q})")
+                    parts.append(f"{coeff}t^({_rat(p, q)})")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
@@ -243,10 +249,8 @@ def parse_element(text: str) -> PuiseuxElement:
 
 
 def element_to_json(x: PuiseuxElement) -> list[dict]:
-    return [
-        {"exp": format_rational(q), "coeff": format_rational(c)}
-        for q, c in x.pairs()
-    ]
+    return [{"exp": _rat(p, q), "coeff": _rat(a, b)}
+            for p, q, a, b in x.terms]
 
 
 def element_from_json(data) -> PuiseuxElement:

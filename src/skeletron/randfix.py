@@ -10,15 +10,18 @@ from .points import INFINITY, RationalFunction, Type1, Type2
 from .puiseux import PuiseuxElement
 
 
-def rand_rational(rng: random.Random, lo=-8, hi=8, den_max=4) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, den_max))
+DEN_MAX = 4  # largest denominator of a drawn rational or exponent
 
 
-def rand_monomial(rng: random.Random, den_max=4) -> PuiseuxElement:
-    """Nonzero monomial c * t^(p/q) with exponent denominator <= den_max."""
+def rand_rational(rng: random.Random, lo=-8, hi=8) -> Fraction:
+    return Fraction(rng.randint(lo, hi), rng.randint(1, DEN_MAX))
+
+
+def rand_monomial(rng: random.Random) -> PuiseuxElement:
+    """Nonzero monomial c * t^(p/q) with exponent denominator <= DEN_MAX."""
     c = Fraction(rng.choice([x for x in range(-5, 6) if x != 0]),
                  rng.randint(1, 3))
-    q = Fraction(rng.randint(-4, 6), rng.randint(1, den_max))
+    q = Fraction(rng.randint(-4, 6), rng.randint(1, DEN_MAX))
     return PuiseuxElement.monomial(c, q)
 
 
@@ -40,11 +43,11 @@ def rand_type2(rng: random.Random) -> Type2:
                  Fraction(rng.randint(-12, 20), rng.randint(1, 4)))
 
 
-def rand_roots(rng: random.Random, max_roots=6, allow_zero=True):
-    """Pairwise distinct monomial roots (optionally including 0)."""
+def rand_roots(rng: random.Random, max_roots=6):
+    """Pairwise distinct monomial roots; 0 is one with probability 0.4."""
     k = rng.randint(1, max_roots)
     roots = []
-    if allow_zero and rng.random() < 0.4:
+    if rng.random() < 0.4:
         roots.append(PuiseuxElement.zero())
     while len(roots) < k:
         cand = rand_monomial(rng)
@@ -53,9 +56,9 @@ def rand_roots(rng: random.Random, max_roots=6, allow_zero=True):
     return roots
 
 
-def rand_rational_function(rng: random.Random, max_roots=6,
-                           allow_zero_root=True) -> RationalFunction:
-    roots = rand_roots(rng, max_roots, allow_zero_root)
+def rand_rational_function(rng: random.Random,
+                           max_roots=6) -> RationalFunction:
+    roots = rand_roots(rng, max_roots)
     factors = [
         (r, rng.choice([-3, -2, -1, 1, 2, 3])) for r in roots
     ]

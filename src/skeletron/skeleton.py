@@ -141,7 +141,13 @@ class SkeletonTree:
 def build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     """Metric tree spanned by all pairwise joins of the punctures and the
     extra vertices, with one ray per puncture."""
-    punctures = list(punctures)
+    punctures, extras = list(punctures), list(extra_vertices)
+    for what, points, kind in (("punctures", punctures, Type1),
+                               ("extra_vertices", extras, Type2)):
+        for i, p in enumerate(points):
+            if not isinstance(p, kind):
+                raise ValueError(f"{what}[{i}] must be a type-"
+                                 f"{1 if kind is Type1 else 2} point")
     if len(punctures) < 2:
         raise ValueError("need at least two punctures to span a skeleton")
     if len(set(punctures)) != len(punctures):
@@ -150,7 +156,7 @@ def build_skeleton_tree(punctures, extra_vertices=()) -> SkeletonTree:
     has_inf = len(finite) < len(punctures)
 
     seeds = set(finite)
-    seeds.update(Type2(v.center, v.s) for v in extra_vertices)
+    seeds.update(extras)
     if len(finite) == 1:
         # the two-puncture line {a, inf}: canonical vertex at radius 0
         seeds.add(Type2(finite[0].value, Fraction(0)))

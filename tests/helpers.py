@@ -1,28 +1,31 @@
 """Shared test oracles: brute-force tree membership and nearest-point
 search, the canonicalising Puiseux arithmetic that the merge-based
-operators and ``val_diff_pair`` replace, the Fraction kernel that the int term
-tuples of ``puiseux`` replace, the all-pairs skeleton builders and
-anchor-scan retractions that the ball order in ``skeleton`` replaces, the
+operators and ``val_diff_pair`` replace, the Fraction kernel and
+formatting that the int term tuples of ``puiseux`` replace, the all-pairs
+skeleton builders and anchor-scan retractions that the ball order in
+``skeleton`` replaces, the
 retraction sampler that ``randfix.rand_type2`` replaces, and the
 rescan-and-rebuild stabilization that the incidence index in ``stable``
 replaces, the full recentering expansion that the precision cap in
-``oracle`` replaces, and the ray slope probed beyond every Newton
+``oracle`` replaces, the ray slope probed beyond every Newton
 breakpoint that the one probe from the base value in ``slopes``
-replaces."""
+replaces, and the term-by-term minimizer sets that the lower hull in
+``newton`` answers."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from skeletron.metric_graph import MetricGraph, euler_char
-from skeletron.newton import eval_trop
+from skeletron.newton import Breakpoint, eval_trop
 from skeletron.oracle import tropicalize
 from skeletron.points import Type1, Type2, eval_val, join, path_distance
 from skeletron.puiseux import PuiseuxElement, val_diff_pair
 from skeletron.skeleton import SkeletonTree, puncture_label
 from skeletron.slopes import _as_int
 from skeletron.stable import CHI_ZERO_DIAGNOSTIC, StabilizationReport
-from skeletron.valq import INF
+from skeletron.valq import INF, NEG_INF, format_rational
 
 
 def val_diff(x: PuiseuxElement, y: PuiseuxElement):
@@ -83,6 +86,30 @@ def ref_mul_terms(x, y):
 
 def ref_truncate_below(x, s):
     return tuple((q, c) for q, c in x if q < s)
+
+
+def ref_str(x: PuiseuxElement) -> str:
+    """``PuiseuxElement.__str__`` as it stood, over the Fraction pairs."""
+    if not x.terms:
+        return "0"
+    parts = []
+    for q, c in x.pairs():
+        if q == 0:
+            parts.append(str(c))
+        else:
+            coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+            if q == 1:
+                parts.append(f"{coeff}t")
+            elif q.denominator == 1 and q >= 0:
+                parts.append(f"{coeff}t^{q}")
+            else:
+                parts.append(f"{coeff}t^({q})")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def ref_element_to_json(x: PuiseuxElement) -> list:
+    return [{"exp": format_rational(q), "coeff": format_rational(c)}
+            for q, c in x.pairs()]
 
 
 def is_canonical(x: PuiseuxElement) -> bool:
@@ -417,6 +444,55 @@ def two_term_roots(rng: random.Random, n: int, clustered: bool):
         roots.add(PuiseuxElement.from_terms(
             [(q1, c1), (q1 + gap, rng.choice(coeffs))]))
     return sorted(roots, key=PuiseuxElement.pairs)
+
+
+# Newton calculus without a hull: the exponents attaining min_n(v_n + n*s)
+# at each point, over terms given as sorted (n, v_n) pairs.
+
+def ref_minimizers(terms, s) -> set:
+    """Exponents attaining min_n(v_n + n*s); at s = -inf and +inf those of
+    the limit, the largest and the smallest exponent."""
+    if s == NEG_INF:
+        return {max(n for n, _ in terms)}
+    if s == INF:
+        return {min(n for n, _ in terms)}
+    vals = {n: v + n * s for n, v in terms}
+    best = min(vals.values())
+    return {n for n, x in vals.items() if x == best}
+
+
+def ref_ties(terms) -> list:
+    """Every s at which some two terms take the same value, ascending."""
+    return sorted({(v1 - v2) / (n2 - n1)
+                   for (n1, v1), (n2, v2) in combinations(terms, 2)})
+
+
+def ref_slope_at(terms, s) -> tuple:
+    """(left, right) slopes at s: the largest and the smallest minimizer."""
+    m = ref_minimizers(terms, s)
+    return max(m), min(m)
+
+
+def ref_breakpoints(terms, lo, hi) -> list:
+    """The ties strictly inside (lo, hi) that more than one exponent
+    attains, with the flanking slopes."""
+    out = []
+    for s in ref_ties(terms):
+        left, right = ref_slope_at(terms, s)
+        if lo < s < hi and left != right:
+            out.append(Breakpoint(s, left, right))
+    return out
+
+
+def ref_unit_decomposition(terms, lo, hi):
+    """(d, v_d) when d is the only minimizer at both endpoints and at
+    every tie between them, so at every point of [lo, hi]; else None."""
+    points = [lo, hi] + [s for s in ref_ties(terms) if lo <= s <= hi]
+    sets = [ref_minimizers(terms, s) for s in points]
+    if len(sets[0]) == 1 and all(m == sets[0] for m in sets):
+        (d,) = sets[0]
+        return d, dict(terms)[d]
+    return None
 
 
 def lone_extra(x, tree: SkeletonTree) -> bool:

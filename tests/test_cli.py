@@ -285,6 +285,66 @@ def test_negative_samples_exit_2(command, capsys):
         "error: argument --samples: must be zero or more, got -1")
 
 
+@pytest.mark.parametrize("option", ["--samples", "--count"])
+def test_random_certificates_negative_count_exit_2(option):
+    script = Path(__file__).parents[1] / "scripts" / "random_certificates.py"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(skeletron.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(script), option, "-1"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: argument {option}: must be zero or more, got -1")
+
+
+TYPE2_POINT = {"type": 2, "center": [], "s": "1"}
+WRONG_POINT_TYPE_CASES = [
+    (["skeleton", "--punctures",
+      json.dumps(WORKED_PUNCTURES[:1] + [TYPE2_POINT])],
+     "punctures[1] must be a type-1 point"),
+    (["slope-check", "--f", json.dumps(WORKED_FUNC), "--punctures",
+      json.dumps([TYPE2_POINT] + WORKED_PUNCTURES)],
+     "punctures[0] must be a type-1 point"),
+    (["skeleton", "--punctures", json.dumps(WORKED_PUNCTURES),
+      "--extra-vertices", json.dumps([TYPE2_POINT, WORKED_PUNCTURES[1]])],
+     "extra_vertices[1] must be a type-2 point"),
+]
+
+
+@pytest.mark.parametrize("args, expected", WRONG_POINT_TYPE_CASES,
+                         ids=["skeleton", "slope-check", "extra-vertices"])
+def test_wrong_point_type_exit_2(args, expected, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {expected}\n"
+
+
+def test_selftest_fixture_with_type2_puncture_exit_2(tmp_path, monkeypatch,
+                                                     capsys):
+    (tmp_path / "a.json").write_text(json.dumps(
+        {"f": WORKED_FUNC, "punctures": WORKED_PUNCTURES + [TYPE2_POINT]}))
+    monkeypatch.setenv("SKELETRON_FIXTURES", str(tmp_path))
+    assert run(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: punctures[4] must be a type-1 point\n")
+
+
+@pytest.mark.parametrize("interval", ["inf,inf", "-inf,-inf"])
+def test_newton_interval_at_infinity_exit_2(interval, capsys):
+    f = VALID_INPUTS["newton"]["--f"]
+    assert run(["newton", "--f", json.dumps(f),
+                f"--interval={interval}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: interval [")
+    assert captured.err.endswith("] has no finite point\n")
+
+
 SHAPE_CASES = [
     (["stabilize"], "--graph", [], "a JSON object, got a list"),
     (["eval", "--point", json.dumps(VALID_INPUTS["eval"]["--point"])],

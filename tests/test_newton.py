@@ -2,8 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import (
+    ref_breakpoints,
+    ref_slope_at,
+    ref_ties,
+    ref_unit_decomposition,
+)
 from skeletron.newton import (
     Breakpoint,
     Interval,
@@ -11,6 +17,7 @@ from skeletron.newton import (
     breakpoints,
     eval_trop,
     map_skeleton,
+    slope_at,
     slope_change_count,
     unit_decomposition,
 )
@@ -58,6 +65,18 @@ def test_breakpoints_exclude_boundary():
     assert breakpoints(TL((0, 1), (1, 0)), Interval(Fraction(1), Fraction(3))) == []
 
 
+def test_slope_at_examples():
+    f = TL((0, 3), (1, 1), (2, 0))  # breaks at s = 1 and s = 2
+    assert slope_at(f, 0) == (2, 2)
+    assert slope_at(f, 1) == (2, 1)
+    assert slope_at(f, Fraction(3, 2)) == (1, 1)
+    assert slope_at(f, 2) == (1, 0)
+    assert slope_at(f, NEG_INF) == (2, 2)
+    assert slope_at(f, INF) == (0, 0)
+    # three collinear terms tie at s = -1; the middle one is never alone
+    assert slope_at(TL((0, 0), (1, 1), (2, 2)), -1) == (2, 0)
+
+
 def test_slope_change_examples():
     assert slope_change_count([(1, 1)], 1) == -1
     assert slope_change_count([(1, -1)], 1) == 1
@@ -91,6 +110,12 @@ def test_unit_on_ray():
     assert unit_decomposition(TL((0, 5), (1, 0)), Interval(Fraction(3), INF)) is None
 
 
+@pytest.mark.parametrize("end", [INF, NEG_INF])
+def test_interval_at_infinity_rejected(end):
+    with pytest.raises(ValueError, match="no finite point"):
+        Interval(end, end)
+
+
 def test_map_skeleton_examples():
     assert map_skeleton(2, 1, Interval(Fraction(0), Fraction(2))) == Interval(
         Fraction(1), Fraction(5)
@@ -120,6 +145,41 @@ trop_terms = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+@st.composite
+def terms_and_interval(draw):
+    """A term list and two endpoints, each a tie of two terms, a random
+    rational or an infinity, in either order of drawing."""
+    f = TropicalLaurent.from_terms(draw(trop_terms))
+    ties = ref_ties(f.terms)
+    finite = st.one_of(
+        st.sampled_from(ties) if ties else st.nothing(),
+        st.fractions(max_denominator=4, min_value=-12, max_value=12),
+    )
+    lo, hi = sorted([draw(finite | st.just(NEG_INF)),
+                     draw(finite | st.just(INF))])
+    return f, lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms_and_interval())
+@example((TL((0, 0), (1, 1), (2, 2)), Fraction(-1), Fraction(-1)))
+@example((TL((0, 0), (1, 1), (2, 2)), NEG_INF, Fraction(-2)))
+@example((TL((0, 0), (1, 1), (2, 2)), NEG_INF, INF))
+@example((TL((0, 5), (3, 0)), NEG_INF, INF))
+@example((TL((2, 1)), NEG_INF, INF))
+def test_envelope_matches_minimizer_sets(case):
+    f, lo, hi = case
+    interval = Interval(lo, hi)
+    assert breakpoints(f, interval) == ref_breakpoints(f.terms, lo, hi)
+    assert unit_decomposition(f, interval) == ref_unit_decomposition(
+        f.terms, lo, hi)
+    points = {lo, hi, *ref_ties(f.terms)}
+    if NEG_INF < lo and hi < INF:
+        points.add((lo + hi) / 2)
+    for s in points:
+        assert slope_at(f, s) == ref_slope_at(f.terms, s)
 
 
 @given(trop_terms)

@@ -6,14 +6,16 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from skeletron.points import RationalFunction, Type1, Type2, eval_val, join
-from skeletron.puiseux import PuiseuxElement
+from skeletron.puiseux import PuiseuxElement, element_to_json
 
 from helpers import (
     is_canonical,
+    ref_element_to_json,
     ref_eval_val,
     ref_join,
     ref_merge,
     ref_mul_terms,
+    ref_str,
     ref_truncate_below,
     ref_val_diff,
     val_diff,
@@ -111,3 +113,13 @@ def test_join_and_eval_val_match_fraction_kernel(item, r):
                 want = ref_join(Type1(root), Type1(other))
                 assert (got.s, got.center.pairs()) == (
                     want.s, want.center.pairs())
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_lists)
+@example([(Fraction(1), Fraction(1)), (Fraction(2), Fraction(-1))])
+@example([(Fraction(-3), Fraction(1)), (Fraction(0), Fraction(-5, 2))])
+def test_formatting_matches_fraction_pairs(terms):
+    x = PuiseuxElement.from_terms(terms)
+    assert str(x) == ref_str(x)
+    assert element_to_json(x) == ref_element_to_json(x)
