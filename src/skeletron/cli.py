@@ -38,7 +38,7 @@ def _load_json(arg: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise InputError(f"malformed JSON at line {e.lineno} col {e.colno}: "
+        raise ValueError(f"malformed JSON at line {e.lineno} col {e.colno}: "
                          f"{e.msg}") from e
 
 
@@ -181,14 +181,25 @@ def cmd_tate(args) -> int:
     return 0
 
 
+def _message(e: Exception) -> str:
+    """One line for an input error; a KeyError (whose str is the key's
+    repr) is a missing JSON field."""
+    return f"missing field {e}" if isinstance(e, KeyError) else str(e)
+
+
 def _load_fixture(path: Path):
-    """The function and skeleton tree of a selftest fixture file."""
+    """The function and skeleton tree of a selftest fixture file.  An
+    ``InputError`` (a wrong JSON shape, an unreadable file) names the file
+    in its message; any other input error gets ``fixture <name>: ``."""
     name = f"fixture {path.name}"
-    data = _load_object(str(path), name)
-    f = io_json.function_from_json(_check_object(data["f"], f"{name} f"))
-    punctures = _check_objects(data["punctures"], f"{name} punctures")
-    return f, build_skeleton_tree(
-        [io_json.point_from_json(p) for p in punctures])
+    try:
+        data = _load_object(str(path), name)
+        f = io_json.function_from_json(_check_object(data["f"], f"{name} f"))
+        punctures = _check_objects(data["punctures"], f"{name} punctures")
+        return f, build_skeleton_tree(
+            [io_json.point_from_json(p) for p in punctures])
+    except (ValueError, TypeError, KeyError) as e:
+        raise InputError(f"{name}: {_message(e)}") from e
 
 
 def cmd_selftest(args) -> int:
@@ -275,15 +286,8 @@ def run(argv) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (InputError, ValueError, TypeError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except KeyError as e:
-        print(f"input error: missing field {e.args[0]!r}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as e:
-        print(f"input error: zero denominator in a rational value ({e})",
-              file=sys.stderr)
+    except (InputError, ValueError, TypeError, KeyError) as e:
+        print(f"input error: {_message(e)}", file=sys.stderr)
         return 2
 
 

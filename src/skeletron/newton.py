@@ -69,13 +69,11 @@ class TropicalLaurent:
             raise ValueError("TropicalLaurent needs at least one term")
         return TropicalLaurent(tuple(sorted(acc.items())))
 
-    def eval(self, s: Fraction) -> Fraction:
-        return min(v + n * s for n, v in self.terms)
-
 
 def eval_trop(f: TropicalLaurent, s) -> Fraction:
     """Valuation of the sup norm at valuative radius s: min_n (v_n + n*s)."""
-    return f.eval(Fraction(s))
+    s = Fraction(s)
+    return min(v + n * s for n, v in f.terms)
 
 
 def _lower_hull(points):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .puiseux import PuiseuxElement, val_diff_pair
+from .puiseux import PuiseuxElement, lead_diff
 from .valq import INF
 
 
@@ -88,10 +88,10 @@ def join(x, y):
     if x == y:
         return x
     s = min(sx, sy)
-    v = val_diff_pair(_center(x).terms, _center(y).terms)
+    v = lead_diff(_center(x).terms, _center(y).terms)
     if v is not None and (s is INF or v[0] * s.denominator
                           < s.numerator * v[1]):
-        s = Fraction(*v)
+        s = Fraction(v[0], v[1])
     return Type2(_center(x), s)
 
 
@@ -181,11 +181,11 @@ def eval_val(f: RationalFunction, x: Type2) -> Fraction:
     at_s = 0
     below: dict[int, int] = {}  # denominator q -> sum of mult_i * p_i
     for root, mult in f.factors:
-        v = val_diff_pair(center, root.terms)
+        v = lead_diff(center, root.terms)
         if v is None or v[0] * sd >= sn * v[1]:
             at_s += mult
         else:
-            p, q = v
+            p, q, _ = v
             below[q] = below.get(q, 0) + mult * p
     lead = f.lead_val
     num = lead.numerator * sd + at_s * sn * lead.denominator

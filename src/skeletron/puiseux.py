@@ -10,7 +10,7 @@ explicitly given elements.
 Each term is stored as one tuple of ints ``(exp_num, exp_den, coeff_num,
 coeff_den)``, both fractions reduced with a positive denominator.  That
 form is canonical: two terms are equal iff their tuples are, so element
-equality, hashing and the ``u != v`` test of ``val_diff_pair`` are tuple
+equality, hashing and the ``u != v`` test of ``lead_diff`` are tuple
 compares done in C.  Only an order between exponents needs a
 cross-multiplication.  The raw tuples do not sort by value (1/2 comes
 before 2/5), so terms are kept in exponent order by value.  ``Fraction``
@@ -18,13 +18,13 @@ stays at the boundary: ``from_terms`` and ``monomial`` take any rationals,
 and ``valuation`` and ``pairs`` give ``Fraction`` values back;
 ``__str__`` and ``element_to_json`` format the int tuples directly.
 
-``val_diff_pair(x, y)`` is the single valuation-of-a-difference primitive:
-it answers val(x - y) for two term tuples by walking them side by side,
-without building x - y, as the int pair (numerator, denominator), or None
-for +inf.  Ball containment, joins and ``eval_val`` go through it; edge
-and ray slopes reach it only through ``eval_val``.  The arithmetic operators merge terms that are
-already canonical; ``PuiseuxElement.from_terms`` canonicalises parsed and
-generated input.
+``lead_diff(x, y)`` is the one valuation-of-a-difference primitive and the
+only walk over two term tuples side by side.  Without building x - y, it
+returns its leading term as ``(exp_num, exp_den, sign)``: the exponent is
+val(x - y) and ``sign`` an int with the sign of the coefficient; None
+means x == y.  Joins and ``eval_val`` read the exponent, the skeleton's
+ball order the sign too.  The arithmetic operators merge canonical terms;
+``PuiseuxElement.from_terms`` canonicalises parsed and generated input.
 """
 
 from __future__ import annotations
@@ -177,16 +177,23 @@ def _merge(x, y, sign):
     return tuple(out)
 
 
-def val_diff_pair(x, y):
-    """val(x - y) for canonical term tuples x, y, as the int pair
-    (numerator, denominator), or None when x == y."""
+def lead_diff(x, y):
+    """The leading term of x - y for canonical term tuples x, y, as
+    (exp_num, exp_den, sign) with sign an int of the sign of its
+    coefficient, or None when x == y."""
     for u, v in zip(x, y):
         if u != v:
-            # same exponent and different coefficients, or the smaller
-            # exponent is a term of one side only
-            return u[:2] if u[0] * v[1] <= v[0] * u[1] else v[:2]
-    if len(x) != len(y):
-        return x[len(y)][:2] if len(x) > len(y) else y[len(x)][:2]
+            d = u[0] * v[1] - v[0] * u[1]
+            if d < 0:    # the term u is x's alone
+                return u[:3]
+            if d > 0:    # the term v is y's alone
+                return v[0], v[1], -v[2]
+            return u[0], u[1], u[2] * v[3] - v[2] * u[3]
+    n, m = len(x), len(y)
+    if n > m:
+        return x[m][:3]
+    if n < m:
+        return y[n][0], y[n][1], -y[n][2]
     return None
 
 

@@ -8,9 +8,9 @@ and the ray toward infinity (when infinity is a puncture) leaves the tree
 through the root.
 
 The tree is read off the ball order of ``_compare``.  On field elements it
-is the ultrametric order: x < y when, at the first exponent where their
-coefficients differ, x's coefficient is smaller (a missing term counts as
-0).  A closed ball (c, s) is the set of elements that agree with c below
+is the ultrametric order: x < y when the leading term of x - y, which
+``puiseux.lead_diff`` returns with its exponent and sign, is negative.
+A closed ball (c, s) is the set of elements that agree with c below
 exponent s, so it is a contiguous run of that order; it sorts just before
 the run, so the order is a depth-first preorder of all balls and points.
 Three facts follow for anchors sorted this way:
@@ -47,6 +47,7 @@ from functools import cached_property, cmp_to_key
 
 from .metric_graph import MetricGraph
 from .points import Type1, Type2, join
+from .puiseux import lead_diff
 
 
 def puncture_label(p: Type1) -> str:
@@ -63,12 +64,11 @@ def _compare(x, y) -> int:
     """Ball order of two finite points (type-1 points count as balls of
     radius +inf): -1, 0 or 1 as x sorts before, equal to or after y.
 
-    Let e be the first exponent where the centres' coefficients differ.
-    If e is below both radii, the balls are disjoint, and the one whose
-    centre has the smaller coefficient at e sorts first.  Otherwise, or
-    with equal centres, one ball contains the other and the larger one
-    sorts first.  Compared in ints on the term tuples; ``sign`` is that of
-    x's coefficient at e minus y's."""
+    Let e be the leading term of the difference of the centres, from
+    ``lead_diff``.  If its exponent is below both radii, the balls are
+    disjoint, and x sorts first iff e's coefficient is negative.
+    Otherwise, or with equal centres, one ball contains the other and the
+    larger one sorts first.  The exponent meets the radius in ints."""
     if isinstance(x, Type2):
         cx, sx = x.center.terms, x.s
     else:
@@ -77,31 +77,12 @@ def _compare(x, y) -> int:
         cy, sy = y.center.terms, y.s
     else:
         cy, sy = y.value.terms, None
-    for u, v in zip(cx, cy):
-        if u != v:
-            d = u[0] * v[1] - v[0] * u[1]
-            if d < 0:    # the term u is x's alone: y's coefficient is 0
-                e, sign = u, u[2]
-            elif d > 0:  # the term v is y's alone
-                e, sign = v, -v[2]
-            else:
-                e, sign = u, u[2] * v[3] - v[2] * u[3]
-            break
-    else:
-        n = len(cy)
-        if len(cx) > n:
-            e = cx[n]
-            sign = e[2]
-        elif len(cx) < n:
-            e = cy[len(cx)]
-            sign = -e[2]
-        else:
-            e = None
+    e = lead_diff(cx, cy)
     larger = sy is None or (sx is not None and sx < sy)  # x's radius is less
     if e is not None:
         s = sx if larger else sy
         if s is None or e[0] * s.denominator < s.numerator * e[1]:
-            return -1 if sign < 0 else 1
+            return -1 if e[2] < 0 else 1
     if sx == sy:
         return 0
     return -1 if larger else 1

@@ -5,19 +5,27 @@ infinities, which compare and min/max correctly against Fraction and never
 contaminate a finite result (inf only ever absorbs).
 """
 
+import re
 from fractions import Fraction
 
 INF = float("inf")
 NEG_INF = float("-inf")
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
+
 
 def parse_rational(s: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact rational.  Anything but a string,
-    a JSON number included, is rejected: a float would arrive as a binary
-    fraction."""
+    """Parse 'p/q' or 'p' in decimal digits into an exact rational.  Anything
+    else is rejected before ``Fraction`` reads it: a JSON number would arrive
+    as a binary fraction, and '1e99999999999' would build a huge int."""
     if not isinstance(s, str):
         raise ValueError(f"rational {s!r} must be a 'p/q' string")
-    return Fraction(s.strip())
+    m = _RATIONAL.fullmatch(s.strip())
+    if not m:
+        raise ValueError(f"rational {s!r} must be 'p/q' or 'p' in digits")
+    if m[1] is not None and not int(m[1]):
+        raise ValueError(f"zero denominator in a rational value {s!r}")
+    return Fraction(m[0])
 
 
 def parse_extended(s: str):
@@ -27,7 +35,7 @@ def parse_extended(s: str):
         return INF
     if t in ("-inf", "-oo"):
         return NEG_INF
-    return Fraction(t)
+    return parse_rational(s)
 
 
 def format_rational(v) -> str:

@@ -1,6 +1,6 @@
 """Shared test oracles: brute-force tree membership and nearest-point
 search, the canonicalising Puiseux arithmetic that the merge-based
-operators and ``val_diff_pair`` replace, the Fraction kernel and
+operators and ``lead_diff`` replace, the Fraction kernel and
 formatting that the int term tuples of ``puiseux`` replace, the all-pairs
 skeleton builders and anchor-scan retractions that the ball order in
 ``skeleton`` replaces, the
@@ -21,7 +21,7 @@ from skeletron.metric_graph import MetricGraph, euler_char
 from skeletron.newton import Breakpoint, eval_trop
 from skeletron.oracle import tropicalize
 from skeletron.points import Type1, Type2, eval_val, join, path_distance
-from skeletron.puiseux import PuiseuxElement, val_diff_pair
+from skeletron.puiseux import PuiseuxElement, lead_diff
 from skeletron.skeleton import SkeletonTree, puncture_label
 from skeletron.slopes import _as_int
 from skeletron.stable import CHI_ZERO_DIAGNOSTIC, StabilizationReport
@@ -30,8 +30,8 @@ from skeletron.valq import INF, NEG_INF, format_rational
 
 def val_diff(x: PuiseuxElement, y: PuiseuxElement):
     """val(x - y) as a Fraction, or INF when x == y."""
-    v = val_diff_pair(x.terms, y.terms)
-    return INF if v is None else Fraction(*v)
+    v = lead_diff(x.terms, y.terms)
+    return INF if v is None else Fraction(v[0], v[1])
 
 
 # The Fraction kernel that the int term tuples replace, as it stood in
@@ -207,7 +207,7 @@ def _contains(outer: Type2, inner: Type2) -> bool:
 
 def _contains_type1(outer: Type2, value: PuiseuxElement) -> bool:
     """val(outer.center - value) >= outer.s, compared in ints."""
-    v = val_diff_pair(outer.center.terms, value.terms)
+    v = lead_diff(outer.center.terms, value.terms)
     return v is None or (v[0] * outer.s.denominator
                          >= outer.s.numerator * v[1])
 

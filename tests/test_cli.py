@@ -331,7 +331,26 @@ def test_selftest_fixture_with_type2_puncture_exit_2(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "input error: punctures[4] must be a type-1 point\n")
+        "input error: fixture a.json: punctures[4] must be a type-1 point\n")
+
+
+def test_selftest_fixture_malformed_json_names_the_file(tmp_path,
+                                                        monkeypatch, capsys):
+    (tmp_path / "a.json").write_text("{not json")
+    monkeypatch.setenv("SKELETRON_FIXTURES", str(tmp_path))
+    assert run(["selftest"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: fixture a.json: malformed JSON at line 1 col 2")
+
+
+@pytest.mark.parametrize("literal", ["1e3", "1.5", "1_0", "0x10"])
+def test_non_p_q_rational_exit_2(literal, capsys):
+    assert run(["tate", f"--val-j={literal}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: rational {literal!r} must be 'p/q' or 'p' in "
+        "digits\n")
 
 
 @pytest.mark.parametrize("interval", ["inf,inf", "-inf,-inf"])
@@ -370,17 +389,25 @@ def test_wrong_json_shape_names_the_option(args, option, doc, expected,
         f"input error: {option} must be {expected}\n")
 
 
+BAD_RATIONAL_PUNCTURE = {"type": 1,
+                         "value": [{"exp": "1e3", "coeff": "1"}]}
 FIXTURE_CASES = [
     ([], "fixture a.json must be a JSON object, got a list"),
     ({"f": [], "punctures": WORKED_PUNCTURES},
      "fixture a.json f must be a JSON object, got a list"),
     ({"f": WORKED_FUNC, "punctures": {"a": 1}},
      "fixture a.json punctures must be a JSON list of objects, got an object"),
+    ({"f": WORKED_FUNC, "punctures": WORKED_PUNCTURES[:1] * 2},
+     "fixture a.json: punctures must be pairwise distinct"),
+    ({"f": WORKED_FUNC, "punctures": [BAD_RATIONAL_PUNCTURE]},
+     "fixture a.json: rational '1e3' must be 'p/q' or 'p' in digits"),
+    ({"f": WORKED_FUNC}, "fixture a.json: missing field 'punctures'"),
 ]
 
 
 @pytest.mark.parametrize("doc, expected", FIXTURE_CASES,
-                         ids=["list", "f-list", "punctures-object"])
+                         ids=["list", "f-list", "punctures-object",
+                              "duplicate", "bad-rational", "missing-key"])
 def test_bad_selftest_fixture_names_the_file(doc, expected, tmp_path,
                                              monkeypatch, capsys):
     (tmp_path / "a.json").write_text(json.dumps(doc))

@@ -123,7 +123,7 @@ def test_oracle_equivalence_at_scale(seed, n):
 
 
 # the valuation-of-a-difference route that the oracle cross-checks
-CHECKED_ROUTE = {"val_diff", "val_diff_pair", "eval_val", "join",
+CHECKED_ROUTE = {"val_diff", "lead_diff", "eval_val", "join",
                  "retract", "_merge"}
 
 

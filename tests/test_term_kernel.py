@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from skeletron.points import RationalFunction, Type1, Type2, eval_val, join
-from skeletron.puiseux import PuiseuxElement, element_to_json
+from skeletron.puiseux import PuiseuxElement, element_to_json, lead_diff
 
 from helpers import (
     is_canonical,
@@ -16,6 +16,7 @@ from helpers import (
     ref_merge,
     ref_mul_terms,
     ref_str,
+    ref_sub,
     ref_truncate_below,
     ref_val_diff,
     val_diff,
@@ -64,6 +65,54 @@ def test_arithmetic_matches_fraction_kernel(pair, s):
         assert is_canonical(got), op
     assert val_diff(x, y) == ref_val_diff(fx, fy)
     assert (x - y).valuation() == val_diff(x, y)
+
+
+def _el(*terms):
+    return PuiseuxElement.from_terms(terms)
+
+
+def _ref_lead(x, y):
+    """The leading term of x - y through the Fraction route, as
+    (exponent, sign of its coefficient), or None when x == y."""
+    pairs = ref_sub(x, y).pairs()
+    if not pairs:
+        return None
+    q, c = pairs[0]
+    return q, 1 if c > 0 else -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_pairs())
+# a term of x alone, of either sign, below y's first term
+@example((_el((Fraction(1, 2), 2), (1, 1)), _el((1, 1))))
+@example((_el((Fraction(-1, 3), -1)), _el((0, 5))))
+# a term of y alone, of either sign, below x's first term
+@example((_el((2, 1)), _el((1, 3))))
+@example((_el((2, 1)), _el((1, -3))))
+# one side runs out: the first unmatched term is the other side's tail
+@example((_el((0, 1)), _el((0, 1), (Fraction(2, 5), 1))))
+@example((_el((0, 1), (1, -1)), _el((0, 1))))
+# equal exponents, different coefficients
+@example((_el((Fraction(1, 2), Fraction(1, 2))),
+          _el((Fraction(1, 2), Fraction(1, 3)))))
+@example((_el((Fraction(1, 2), Fraction(-1, 2))),
+          _el((Fraction(1, 2), Fraction(1, 3)))))
+# x == y
+@example((_el((Fraction(2, 5), 1), (3, -7)),
+          _el((Fraction(2, 5), 1), (3, -7))))
+@example((_el(), _el()))
+def test_lead_diff_is_the_leading_term_of_the_difference(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        got = lead_diff(a.terms, b.terms)
+        want = _ref_lead(a, b)
+        if want is None:
+            assert got is None
+            continue
+        q, sign = want
+        p, d, c = got
+        assert (p, d) == (q.numerator, q.denominator)
+        assert type(c) is int and c != 0 and (c > 0) == (sign > 0)
 
 
 @st.composite
