@@ -26,9 +26,10 @@ class InputError(Exception):
     pass
 
 
-def _load_json(arg: str):
+def _load_json(arg: str, option: str):
     """Read JSON from the file an argument names, or parse the argument as
-    inline JSON when no such file exists and it starts with { or [."""
+    inline JSON when no such file exists and it starts with { or [.
+    ``option`` names the argument in the message of malformed JSON."""
     text = arg
     if not arg.lstrip().startswith(("{", "[")) or os.path.exists(arg):
         try:
@@ -38,8 +39,8 @@ def _load_json(arg: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ValueError(f"malformed JSON at line {e.lineno} col {e.colno}: "
-                         f"{e.msg}") from e
+        raise InputError(f"{option}: malformed JSON at line {e.lineno} "
+                         f"col {e.colno}: {e.msg}") from e
 
 
 def _kind(doc) -> str:
@@ -73,7 +74,12 @@ def _check_objects(doc, what: str) -> list:
 
 def _load_object(arg: str, option: str) -> dict:
     """Load the JSON of an option whose document is one object."""
-    return _check_object(_load_json(arg), option)
+    return _check_object(_load_json(arg, option), option)
+
+
+def _load_objects(arg: str, option: str) -> list:
+    """Load the JSON of an option whose document is a list of objects."""
+    return _check_objects(_load_json(arg, option), option)
 
 
 def nonnegative_int(text: str) -> int:
@@ -136,13 +142,13 @@ def cmd_eval(args) -> int:
 
 def _punctures(arg):
     return [io_json.point_from_json(p)
-            for p in _check_objects(_load_json(arg), "--punctures")]
+            for p in _load_objects(arg, "--punctures")]
 
 
 def cmd_skeleton(args) -> int:
     extras = (
-        [io_json.point_from_json(p) for p in _check_objects(
-            _load_json(args.extra_vertices), "--extra-vertices")]
+        [io_json.point_from_json(p)
+         for p in _load_objects(args.extra_vertices, "--extra-vertices")]
         if args.extra_vertices else []
     )
     tree = build_skeleton_tree(_punctures(args.punctures), extras)

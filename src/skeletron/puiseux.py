@@ -22,8 +22,9 @@ and ``valuation`` and ``pairs`` give ``Fraction`` values back;
 only walk over two term tuples side by side.  Without building x - y, it
 returns its leading term as ``(exp_num, exp_den, sign)``: the exponent is
 val(x - y) and ``sign`` an int with the sign of the coefficient; None
-means x == y.  Joins and ``eval_val`` read the exponent, the skeleton's
-ball order the sign too.  The arithmetic operators merge canonical terms;
+means x == y.  Joins read the exponent, the skeleton's ball order the sign
+too; ``eval_val`` walks a trie of the roots' term tuples instead (see
+``points``).  The arithmetic operators merge canonical terms;
 ``PuiseuxElement.from_terms`` canonicalises parsed and generated input.
 """
 
@@ -243,12 +244,13 @@ def parse_element(text: str) -> PuiseuxElement:
         m = _TERM_RE.match(chunk)
         if not m or not chunk:
             raise ValueError(f"malformed term {chunk!r} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = (parse_rational(m.group("coeff")) if m.group("coeff")
+                 else Fraction(1))
         if m.group("coeff") is None and m.group("t") is None:
             raise ValueError(f"malformed term {chunk!r} in {text!r}")
         if m.group("t"):
             exp_s = m.group("exp")
-            exp = Fraction(exp_s.strip("()")) if exp_s else Fraction(1)
+            exp = parse_rational(exp_s.strip("()")) if exp_s else Fraction(1)
         else:
             exp = Fraction(0)
         pairs.append((exp, sign * coeff))

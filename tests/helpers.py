@@ -159,6 +159,28 @@ def ref_eval_val(f, x: Type2):
     )
 
 
+def ref_factor_eval_val(f, x: Type2) -> Fraction:
+    """The per-factor loop that ``RootTrie`` replaces in ``eval_val``:
+    one ``lead_diff`` per root, summed in ints."""
+    sn, sd = x.s.numerator, x.s.denominator
+    center = x.center.terms
+    at_s = 0
+    below: dict[int, int] = {}  # denominator q -> sum of mult_i * p_i
+    for root, mult in f.factors:
+        v = lead_diff(center, root.terms)
+        if v is None or v[0] * sd >= sn * v[1]:
+            at_s += mult
+        else:
+            p, q, _ = v
+            below[q] = below.get(q, 0) + mult * p
+    lead = f.lead_val
+    num = lead.numerator * sd + at_s * sn * lead.denominator
+    den = lead.denominator * sd
+    for q, p in below.items():
+        num, den = num * q + p * den, den * q
+    return Fraction(num, den)
+
+
 def ref_expand_from_roots(shifts) -> list[PuiseuxElement]:
     """Coefficients (low degree first) of prod_i (u + shift_i), every
     monomial of every coefficient."""

@@ -389,6 +389,31 @@ def test_wrong_json_shape_names_the_option(args, option, doc, expected,
         f"input error: {option} must be {expected}\n")
 
 
+# every option that takes JSON, with valid values for the others
+MALFORMED_CASES = [
+    (["newton", "--interval", "0,3"], "--f"),
+    (["eval", "--point", json.dumps(VALID_INPUTS["eval"]["--point"])], "--f"),
+    (["eval", "--f", json.dumps(T_FUNC)], "--point"),
+    (["skeleton"], "--punctures"),
+    (["skeleton", "--punctures", json.dumps(WORKED_PUNCTURES)],
+     "--extra-vertices"),
+    (["slope-check", "--punctures", json.dumps(WORKED_PUNCTURES)], "--f"),
+    (["slope-check", "--f", json.dumps(WORKED_FUNC)], "--punctures"),
+    (["stabilize"], "--graph"),
+]
+
+
+@pytest.mark.parametrize("args, option", MALFORMED_CASES,
+                         ids=[f"{a[0]}{o}" for a, o in MALFORMED_CASES])
+def test_malformed_json_names_the_option(args, option, capsys):
+    assert run(args + [option, "{bad"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"input error: {option}: malformed JSON at line 1 col 2: ")
+    assert captured.err.count("\n") == 1
+
+
 BAD_RATIONAL_PUNCTURE = {"type": 1,
                          "value": [{"exp": "1e3", "coeff": "1"}]}
 FIXTURE_CASES = [

@@ -62,7 +62,8 @@ def test_parse_variants():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "t+", "x^2", "1**t"):
+    # a zero denominator is a ValueError too, not a ZeroDivisionError
+    for bad in ("", "t+", "x^2", "1**t", "1/0*t", "t^(1/0)", "3 - t^2/0"):
         with pytest.raises(ValueError):
             parse_element(bad)
 
