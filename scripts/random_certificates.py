@@ -15,6 +15,7 @@ from collections import Counter
 from skeletron import build_skeleton_tree, verify_slope_formula
 from skeletron.cli import nonnegative_int
 from skeletron.randfix import punctures_of, rand_rational_function
+from skeletron.slopes import first_failure
 
 
 def main():
@@ -37,7 +38,7 @@ def main():
         vertex_hist[len(tree.placement)] += 1
         if not report.verdict:
             failures += 1
-            print(f"FAIL #{k}: {report.ray_checks}", file=sys.stderr)
+            print(f"FAIL #{k}: {first_failure(report)}", file=sys.stderr)
     elapsed = time.perf_counter() - t0
 
     print(f"functions checked : {args.count}")

@@ -50,7 +50,7 @@ from .randfix import (
     rand_type2,
 )
 from .skeleton import build_skeleton_tree, retract
-from .slopes import verify_slope_formula
+from .slopes import first_failure, verify_slope_formula
 from .stable import (
     apply_prune,
     is_stable,
@@ -72,22 +72,6 @@ def _timed(budget_s, fn):
     return ok, f"{detail} ({dt:.1f}s)", dt, budget_s
 
 
-def _first_failure(report) -> str:
-    """Where a failing slope certificate first goes wrong: a vertex whose
-    outgoing slopes do not sum to zero, a ray whose slope is not the order
-    of f at its puncture, a retraction sample, or the degree sum."""
-    for vid, total in report.harmonicity.items():
-        if total != 0:
-            return f"vertex {vid}: outgoing slopes sum to {total}"
-    for mark, slope, expected, ok in report.ray_checks:
-        if not ok:
-            return f"ray {mark}: slope {slope}, order {expected}"
-    for k, (x, fx, ftau, ok) in enumerate(report.retraction_samples):
-        if not ok:
-            return f"sample {k} at {x}: F = {fx}, F at its retraction {ftau}"
-    return f"degree sum {report.degree_sum}"
-
-
 def criterion_1_slope_formula(seed=0):
     """200 random factored functions: full slope-formula certificate."""
 
@@ -100,7 +84,7 @@ def criterion_1_slope_formula(seed=0):
                 f, tree, samples=20, seed=rng.randrange(2**32)
             )
             if not report.verdict:
-                return False, f"fixture {i} failed at {_first_failure(report)}"
+                return False, f"fixture {i} failed at {first_failure(report)}"
         return True, "200 fixtures certified"
 
     return _timed(30, run)

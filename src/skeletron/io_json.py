@@ -34,14 +34,15 @@ def point_to_json(x) -> dict:
 
 
 def point_from_json(data):
-    if data["type"] == 1:
-        if data["value"] == "inf":
-            return Type1(INFINITY)
-        return Type1(element_from_json(data["value"]))
-    if data["type"] == 2:
+    kind = data["type"]
+    if type(kind) is not int or kind not in (1, 2):  # a JSON true, 2.0, ...
+        raise ValueError(f"unknown point type {kind!r}")
+    if kind == 2:
         return Type2(element_from_json(data["center"]),
                      parse_rational(data["s"]))
-    raise ValueError(f"unknown point type {data['type']!r}")
+    if data["value"] == "inf":
+        return Type1(INFINITY)
+    return Type1(element_from_json(data["value"]))
 
 
 def function_to_json(f: RationalFunction) -> dict:

@@ -4,6 +4,11 @@ These are dimension-1 polyhedral complexes over the rational value group:
 finitely many weighted vertices, finite edges of positive rational length
 (loops and parallel edges allowed), and rays (infinite edges) based at
 vertices and labeled by pairwise-distinct markings.
+
+Every question about one vertex reads one index, ``incidence``, built in
+one pass on first use and cached on the graph (a graph from the raw
+constructor, as ``refine`` builds, is indexed when first asked).  So is the
+``connected`` verdict: ``make`` walks each new graph once, ``betti1`` reads it.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -46,49 +52,53 @@ class MetricGraph:
             if b not in idset:
                 raise ValueError(f"ray based at unknown vertex {b}")
         g = MetricGraph(vs, es, rs)
-        if not g.is_connected():
+        if not g.connected:
             raise ValueError("graph must be connected")
         return g
+
+    @cached_property
+    def incidence(self) -> dict:
+        """Vertex id -> (weight, ids of the edges at it in increasing order
+        with a loop listed twice, ids of the rays based at it), in vertex
+        order.  Read-only: every caller shares the lists."""
+        inc = {v: (w, [], []) for v, w in self.vertices}
+        for i, (u, v, _) in enumerate(self.edges):
+            inc[u][1].append(i)
+            inc[v][1].append(i)
+        for k, (b, _) in enumerate(self.rays):
+            inc[b][2].append(k)
+        return inc
+
+    @cached_property
+    def connected(self) -> bool:
+        """True iff the graph has a vertex and every vertex is reached from
+        the first one along edges."""
+        inc, edges = self.incidence, self.edges
+        stack = list(inc)[:1]  # the first vertex, if any
+        seen = set(stack)
+        while stack:
+            for i in inc[stack.pop()][1]:
+                for w in edges[i][:2]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return bool(seen) and len(seen) == len(inc)
 
     def vertex_ids(self) -> list[str]:
         return [i for i, _ in self.vertices]
 
     def weight(self, v: str) -> int:
-        for i, w in self.vertices:
-            if i == v:
-                return w
-        raise KeyError(v)
-
-    def is_connected(self) -> bool:
-        ids = self.vertex_ids()
-        if not ids:
-            return False
-        adj: dict[str, set[str]] = {i: set() for i in ids}
-        for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(ids)
+        return self.incidence[v][0]
 
     def valence(self, v: str) -> int:
         """Tangent directions at v inside the graph: edge ends (a loop
         contributes two) plus rays."""
-        n = 0
-        for u, w, _ in self.edges:
-            n += (u == v) + (w == v)
-        n += sum(1 for b, _ in self.rays if b == v)
-        return n
+        _, es, rs = self.incidence[v]
+        return len(es) + len(rs)
 
     def incident_edges(self, v: str) -> list[int]:
-        return [
-            i for i, (u, w, _) in enumerate(self.edges) if v in (u, w)
-        ]
+        """Ids of the edges at v in increasing order, a loop once."""
+        return list(dict.fromkeys(self.incidence[v][1]))
 
 
 @dataclass(frozen=True)
@@ -127,7 +137,7 @@ class PLFunction:
 
 def betti1(g: MetricGraph) -> int:
     """First Betti number #edges - #vertices + 1 (rays excluded)."""
-    if not g.is_connected():
+    if not g.connected:
         raise ValueError("betti1 needs a connected graph")
     return len(g.edges) - len(g.vertices) + 1
 
@@ -171,8 +181,9 @@ def shortest_path(g: MetricGraph, u: str, v: str) -> Fraction:
     """Exact least total length over paths (Dijkstra with rational weights)."""
     if u == v:
         return Fraction(0)
+    edges, inc = g.edges, g.incidence
     dist = {u: Fraction(0)}
-    heap = [(Fraction(0), u)]
+    heap = [(Fraction(0), u)] if u in inc else []
     done = set()
     while heap:
         d, x = heapq.heappop(heap)
@@ -181,13 +192,13 @@ def shortest_path(g: MetricGraph, u: str, v: str) -> Fraction:
         if x == v:
             return d
         done.add(x)
-        for a, b, l in g.edges:
-            if x in (a, b):
-                y = b if x == a else a
-                nd = d + l
-                if y not in dist or nd < dist[y]:
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
+        for i in inc[x][1]:
+            a, b, l = edges[i]
+            y = b if x == a else a
+            nd = d + l
+            if y not in dist or nd < dist[y]:
+                dist[y] = nd
+                heapq.heappush(heap, (nd, y))
     raise ValueError(f"no path from {u} to {v}")
 
 
@@ -208,9 +219,10 @@ def make_loopless(g: MetricGraph) -> MetricGraph:
 
 
 def _vertex_signature(g: MetricGraph, v: str):
-    lengths = sorted(l for u, w, l in g.edges if v in (u, w))
-    marks = sorted(m for b, m in g.rays if b == v)
-    return (g.weight(v), g.valence(v), tuple(lengths), tuple(marks))
+    w, es, rs = g.incidence[v]
+    lengths = sorted(g.edges[i][2] for i in dict.fromkeys(es))  # a loop once
+    marks = sorted(g.rays[k][1] for k in rs)
+    return (w, len(es) + len(rs), tuple(lengths), tuple(marks))
 
 
 def is_isomorphic(g1: MetricGraph, g2: MetricGraph) -> bool:
@@ -254,11 +266,7 @@ def is_isomorphic(g1: MetricGraph, g2: MetricGraph) -> bool:
             if w in used:
                 continue
             # ray markings pin vertices exactly
-            ok = all(
-                target_rays.get(m) == w
-                for b, m in g1.rays
-                if b == v
-            )
+            ok = all(target_rays.get(m) == w for m in sig1[v][3])
             if not ok:
                 continue
             phi[v] = w

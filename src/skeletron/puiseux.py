@@ -35,16 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .valq import INF, parse_rational
+from .valq import INF, format_ratio, parse_rational
 
 
 def _term(q: Fraction, c: Fraction) -> tuple:
     return (q.numerator, q.denominator, c.numerator, c.denominator)
-
-
-def _rat(n: int, d: int) -> str:
-    """A reduced fraction n/d, d > 0, as "n" or "n/d"."""
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 @dataclass(frozen=True)
@@ -134,16 +129,16 @@ class PuiseuxElement:
         parts = []
         for p, q, a, b in self.terms:
             if p == 0:
-                parts.append(_rat(a, b))
+                parts.append(format_ratio(a, b))
             else:
                 coeff = ("" if a == b else "-" if a == -b
-                         else f"{_rat(a, b)}*")
+                         else f"{format_ratio(a, b)}*")
                 if p == q:
                     parts.append(f"{coeff}t")
                 elif q == 1 and p >= 0:
                     parts.append(f"{coeff}t^{p}")
                 else:
-                    parts.append(f"{coeff}t^({_rat(p, q)})")
+                    parts.append(f"{coeff}t^({format_ratio(p, q)})")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
@@ -258,7 +253,7 @@ def parse_element(text: str) -> PuiseuxElement:
 
 
 def element_to_json(x: PuiseuxElement) -> list[dict]:
-    return [{"exp": _rat(p, q), "coeff": _rat(a, b)}
+    return [{"exp": format_ratio(p, q), "coeff": format_ratio(a, b)}
             for p, q, a, b in x.terms]
 
 

@@ -137,3 +137,19 @@ def verify_slope_formula(
         degree_sum=degree_sum,
         verdict=verdict,
     )
+
+
+def first_failure(report: SlopeReport) -> str:
+    """Where a failing slope certificate first goes wrong: a vertex whose
+    outgoing slopes do not sum to zero, a ray whose slope is not the order
+    of f at its puncture, a retraction sample, or the degree sum."""
+    for vid, total in report.harmonicity.items():
+        if total != 0:
+            return f"vertex {vid}: outgoing slopes sum to {total}"
+    for mark, slope, expected, ok in report.ray_checks:
+        if not ok:
+            return f"ray {mark}: slope {slope}, order {expected}"
+    for k, (x, fx, ftau, ok) in enumerate(report.retraction_samples):
+        if not ok:
+            return f"sample {k} at {x}: F = {fx}, F at its retraction {ftau}"
+    return f"degree sum {report.degree_sum}"

@@ -8,8 +8,9 @@ graph; the removal order does not matter up to isomorphism.
 
 ``stabilize`` fixes one order: the valence-1 rule before the valence-2
 rule, and within a rule the lowest vertex id in string order ("v10" comes
-before "v2").  It indexes the graph once (incident edge ids, valence, loop
-and ray counts per vertex) and keeps one min-heap of vertex ids per rule,
+before "v2").  It reads the graph's incidence (``MetricGraph.incidence``:
+incident edge and ray ids per vertex, whence valence, loop and ray counts)
+into a mutable index and keeps one min-heap of vertex ids per rule,
 with stale entries skipped when popped.  A prune updates only the one or
 two neighbours it touches and pushes a neighbour again when it starts to
 qualify, so the whole reduction costs O((V + E) log V) instead of a rescan
@@ -34,18 +35,10 @@ CHI_ZERO_DIAGNOSTIC = (
 VALENCE1, VALENCE2 = "valence1", "valence2"
 
 
-def _counts(g: MetricGraph) -> dict:
-    """[valence, loop edges, rays] per vertex, from one pass over the
-    edges and rays."""
-    counts = {v: [0, 0, 0] for v, _ in g.vertices}
-    for u, v, _ in g.edges:
-        counts[u][0] += 1
-        counts[v][0] += 1
-        counts[u][1] += u == v
-    for b, _ in g.rays:
-        counts[b][0] += 1
-        counts[b][2] += 1
-    return counts
+def _counts(es: list, rs: list) -> list:
+    """[valence, loop edges, rays] of a vertex with incident edge ids es
+    (a loop listed twice) and ray ids rs."""
+    return [len(es) + len(rs), len(es) - len(set(es)), len(rs)]
 
 
 def _rule(w: int, valence: int, loops: int, rays: int):
@@ -71,18 +64,14 @@ class _PruneIndex:
     vertex, and the ray list."""
 
     def __init__(self, g: MetricGraph):
+        inc = g.incidence
         self.vertices = g.vertices
         self.weight = dict(g.vertices)  # live vertices
-        self.counts = _counts(g)
+        self.counts = {v: _counts(es, rs) for v, (_, es, rs) in inc.items()}
+        self.incident = {v: set(es) for v, (_, es, _) in inc.items()}
+        self.ray_at = {v: list(rs) for v, (_, _, rs) in inc.items()}
         self.edges = dict(enumerate(g.edges))
-        self.incident = {v: set() for v in self.weight}
-        for i, (a, b, _) in self.edges.items():
-            self.incident[a].add(i)
-            self.incident[b].add(i)
         self.rays = list(g.rays)
-        self.ray_at = {v: [] for v in self.weight}
-        for k, (b, _) in enumerate(self.rays):
-            self.ray_at[b].append(k)
         self.next_id = len(self.edges)
 
     def rule(self, v):
@@ -138,8 +127,8 @@ class _PruneIndex:
 def prune_candidates(g: MetricGraph):
     """All applicable single prune moves, as (rule, vertex) pairs: the
     valence-1 moves, then the valence-2 moves, each in vertex order."""
-    counts = _counts(g)
-    moves = [(_rule(w, *counts[v]), v) for v, w in g.vertices]
+    moves = [(_rule(w, *_counts(es, rs)), v)
+             for v, (w, es, rs) in g.incidence.items()]
     return [m for m in moves if m[0] == VALENCE1] + [
         m for m in moves if m[0] == VALENCE2
     ]
@@ -232,8 +221,8 @@ def minimal_vertex_characterization(g: MetricGraph) -> set:
     """Vertices that must belong to any semistable vertex set: valence at
     least three or positive weight.  Equals the full vertex set exactly
     when the graph is stable."""
-    counts = _counts(g)
-    return {v for v, w in g.vertices if w > 0 or counts[v][0] >= 3}
+    return {v for v, (w, es, rs) in g.incidence.items()
+            if w > 0 or len(es) + len(rs) >= 3}
 
 
 def tate_skeleton(val_j) -> MetricGraph:

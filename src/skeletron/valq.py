@@ -10,6 +10,7 @@ from fractions import Fraction
 
 INF = float("inf")
 NEG_INF = float("-inf")
+_INFINITIES = {INF: "+inf", NEG_INF: "-inf"}
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
 
@@ -38,11 +39,13 @@ def parse_extended(s: str):
     return parse_rational(s)
 
 
+def format_ratio(n: int, d: int) -> str:
+    """A reduced fraction n/d, d > 0, as "n" or "n/d"."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def format_rational(v) -> str:
-    if v == INF:
-        return "+inf"
-    if v == NEG_INF:
-        return "-inf"
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    """As "n", "n/d", "+inf" or "-inf"; the infinities are the only floats."""
+    if type(v) is float:
+        return _INFINITIES[v]
+    return format_ratio(v.numerator, v.denominator)

@@ -6,12 +6,16 @@ skeleton builders and anchor-scan retractions that the ball order in
 ``skeleton`` replaces, the
 retraction sampler that ``randfix.rand_type2`` replaces, and the
 rescan-and-rebuild stabilization that the incidence index in ``stable``
-replaces, the full recentering expansion that the precision cap in
+replaces, the per-vertex edge and ray scans (weight, valence, incident
+edges, prune counts, connectivity, Dijkstra) that
+``MetricGraph.incidence`` replaces, the float-comparing
+``format_rational``, the full recentering expansion that the precision cap in
 ``oracle`` replaces, the ray slope probed beyond every Newton
 breakpoint that the one probe from the base value in ``slopes``
 replaces, and the term-by-term minimizer sets that the lower hull in
 ``newton`` answers."""
 
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -570,6 +574,93 @@ def brute_nearest(x: Type2, tree: SkeletonTree, step=Fraction(1, 4)):
     return min(grid_points(tree, step), key=lambda p: path_distance(x, p))
 
 
+def ref_weight(g: MetricGraph, v: str) -> int:
+    for i, w in g.vertices:
+        if i == v:
+            return w
+    raise KeyError(v)
+
+
+def ref_valence(g: MetricGraph, v: str) -> int:
+    """Edge ends at v (a loop contributes two) plus rays based at v."""
+    n = 0
+    for u, w, _ in g.edges:
+        n += (u == v) + (w == v)
+    return n + sum(1 for b, _ in g.rays if b == v)
+
+
+def ref_incident_edges(g: MetricGraph, v: str) -> list[int]:
+    return [i for i, (u, w, _) in enumerate(g.edges) if v in (u, w)]
+
+
+def ref_is_connected(g: MetricGraph) -> bool:
+    """Depth-first search over adjacency sets built from the edge list."""
+    ids = g.vertex_ids()
+    if not ids:
+        return False
+    adj: dict[str, set[str]] = {i: set() for i in ids}
+    for u, v, _ in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = {ids[0]}
+    stack = [ids[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(ids)
+
+
+def ref_counts(g: MetricGraph) -> dict:
+    """[valence, loop edges, rays] per vertex, from one pass over the
+    edges and rays."""
+    counts = {v: [0, 0, 0] for v, _ in g.vertices}
+    for u, v, _ in g.edges:
+        counts[u][0] += 1
+        counts[v][0] += 1
+        counts[u][1] += u == v
+    for b, _ in g.rays:
+        counts[b][0] += 1
+        counts[b][2] += 1
+    return counts
+
+
+def ref_shortest_path(g: MetricGraph, u: str, v: str) -> Fraction:
+    """Dijkstra scanning the whole edge list at every settled vertex."""
+    if u == v:
+        return Fraction(0)
+    dist = {u: Fraction(0)}
+    heap = [(Fraction(0), u)]
+    done = set()
+    while heap:
+        d, x = heapq.heappop(heap)
+        if x in done:
+            continue
+        if x == v:
+            return d
+        done.add(x)
+        for a, b, l in g.edges:
+            if x in (a, b):
+                y = b if x == a else a
+                nd = d + l
+                if y not in dist or nd < dist[y]:
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))
+    raise ValueError(f"no path from {u} to {v}")
+
+
+def ref_format_rational(v) -> str:
+    """Compares every value with the float infinities first."""
+    if v == INF:
+        return "+inf"
+    if v == NEG_INF:
+        return "-inf"
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{v.numerator}/{v.denominator}"
+
+
 def _valence1_candidates(g: MetricGraph):
     """Weight-0 vertices whose single incidence is one non-loop edge.
 
@@ -578,7 +669,7 @@ def _valence1_candidates(g: MetricGraph):
     """
     out = []
     for v, w in g.vertices:
-        if w != 0 or g.valence(v) != 1:
+        if w != 0 or ref_valence(g, v) != 1:
             continue
         if any(b == v for b, _ in g.rays):
             continue
@@ -591,7 +682,7 @@ def _valence2_candidates(g: MetricGraph):
     segments (edges or rays), not both of them rays."""
     out = []
     for v, w in g.vertices:
-        if w != 0 or g.valence(v) != 2:
+        if w != 0 or ref_valence(g, v) != 2:
             continue
         if any(u == v == x for u, x, _ in g.edges):
             continue  # the two directions come from a loop

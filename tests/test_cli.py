@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -322,6 +323,30 @@ def test_wrong_point_type_exit_2(args, expected, capsys):
     assert captured.err == f"input error: {expected}\n"
 
 
+NON_INT_POINT_TYPE_CASES = [
+    (["eval", "--f", json.dumps(T_FUNC), "--point",
+      json.dumps({**TYPE2_POINT, "type": 2.0})], "2.0"),
+    (["eval", "--f", json.dumps(T_FUNC), "--point",
+      json.dumps({**WORKED_PUNCTURES[0], "type": True})], "True"),
+    (["skeleton", "--punctures",
+      json.dumps([{**WORKED_PUNCTURES[0], "type": True}]
+                 + WORKED_PUNCTURES[1:])], "True"),
+    (["skeleton", "--punctures", json.dumps(WORKED_PUNCTURES),
+      "--extra-vertices", json.dumps([{**TYPE2_POINT, "type": 2.0}])],
+     "2.0"),
+]
+
+
+@pytest.mark.parametrize("args, kind", NON_INT_POINT_TYPE_CASES,
+                         ids=["point-float", "point-bool", "punctures-bool",
+                              "extra-vertices-float"])
+def test_non_integer_point_type_exit_2(args, kind, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: unknown point type {kind}\n"
+
+
 def test_selftest_fixture_with_type2_puncture_exit_2(tmp_path, monkeypatch,
                                                      capsys):
     (tmp_path / "a.json").write_text(json.dumps(
@@ -558,3 +583,17 @@ def test_selftest_names_the_first_failure(fields, detail, monkeypatch,
     assert row["pass"] is False
     assert re.fullmatch(detail + r" \(\d+\.\ds\)", row["detail"])
     assert row["budget_s"] == 30
+
+
+def test_random_certificates_names_the_first_failure(monkeypatch, capsys):
+    script = Path(__file__).parents[1] / "scripts" / "random_certificates.py"
+    monkeypatch.setattr(skeletron, "verify_slope_formula",
+                        _spoil(harmonicity=_bad_vertex))
+    monkeypatch.setattr(sys, "argv", [str(script), "--count", "2",
+                                      "--samples", "0"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == (
+        "FAIL #0: vertex v0: outgoing slopes sum to 3\n"
+        "FAIL #1: vertex v0: outgoing slopes sum to 3\n")
