@@ -15,7 +15,10 @@ which each one is better come from the change's ``BENCHMARK.json``.
 The output file holds, per workload and end-to-end metric, each side's
 values, median and quartiles, the change's median over the parent's, and
 the number of pairs the change won (ties count for neither side), together
-with the seeds, the run length and the Python version.
+with the seeds, the run length and the Python version.  Per workload and
+side it also holds each run's wall seconds, process start to exit, and
+their sum: round generation and set-up run outside item time, so this is
+what an evaluation of the benchmark costs.
 """
 
 from __future__ import annotations
@@ -27,22 +30,26 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> dict:
-    """One benchmark run in a checkout; its result JSON (last line)."""
+             seconds: float) -> tuple:
+    """One benchmark run in a checkout: its result JSON (last line) and
+    its wall seconds."""
+    t0 = perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
+    wall = perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout} {workload} seed {seed} exited "
                            f"{proc.returncode}: {proc.stderr.strip()}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), wall
 
 
 def _spread(values: list) -> dict:
@@ -55,13 +62,15 @@ def summarize(runs: list, end_to_end: list) -> dict:
     medians (change / parent) and the pairs the change won.
 
     ``runs`` holds one dict per run with the keys ``workload``, ``seed``,
-    ``side`` ("parent" or "change") and ``result`` (the run's JSON);
-    ``end_to_end`` is the list of that name in ``BENCHMARK.json``."""
+    ``side`` ("parent" or "change"), ``result`` (the run's JSON) and
+    ``wall_s`` (its wall seconds); ``end_to_end`` is the list of that name
+    in ``BENCHMARK.json``."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         seeds = sorted({r["seed"] for r in mine})
         by = {(r["side"], r["seed"]): r["result"] for r in mine}
+        wall = {(r["side"], r["seed"]): r["wall_s"] for r in mine}
         metrics = {}
         for spec in end_to_end:
             name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
@@ -83,6 +92,9 @@ def summarize(runs: list, end_to_end: list) -> dict:
             "correct": all(by[side, s]["correct"]
                            for side in SIDES for s in seeds),
             "metrics": metrics,
+            "wall_s": {side: {"values": [wall[side, s] for s in seeds],
+                              "sum": sum(wall[side, s] for s in seeds)}
+                       for side in SIDES},
         }
     return out
 
@@ -106,13 +118,13 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             seed = args.first_seed + k
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                result = run_once(checkouts[side], workload, seed,
-                                  spec["run_seconds"])
+                result, wall = run_once(checkouts[side], workload, seed,
+                                        spec["run_seconds"])
                 runs.append({"workload": workload, "seed": seed,
-                             "side": side, "result": result})
+                             "side": side, "result": result, "wall_s": wall})
                 ips = result["metrics"]["items_per_s"]["value"]
-                print(f"{workload} seed {seed} {side}: {ips:.1f} items/s",
-                      file=sys.stderr)
+                print(f"{workload} seed {seed} {side}: {ips:.1f} items/s, "
+                      f"{wall:.1f} s wall", file=sys.stderr)
     args.out.write_text(json.dumps({
         "python": platform.python_version(),
         "seconds": spec["run_seconds"],

@@ -284,10 +284,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_interval(argv) -> list:
+    """Join ``--interval`` to the value after it, as ``--interval=lo,hi``:
+    argparse takes a separate value such as ``-1,2`` or ``-inf,0``, which
+    begins with '-', for an option and refuses it."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--interval" and not a.startswith("--"):
+            out[-1] = f"--interval={a}"
+        else:
+            out.append(a)
+    return out
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_interval(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -29,7 +29,9 @@ class MetricGraph:
     @staticmethod
     def make(vertices, edges=(), rays=()) -> "MetricGraph":
         vs = tuple((str(i), w) for i, w in vertices)
-        es = tuple((str(u), str(v), Fraction(l)) for u, v, l in edges)
+        es = tuple((str(u), str(v),
+                    l if type(l) is Fraction else Fraction(l))
+                   for u, v, l in edges)
         rs = tuple((str(b), str(m)) for b, m in rays)
         ids = [i for i, _ in vs]
         if len(set(ids)) != len(ids):
@@ -43,7 +45,7 @@ class MetricGraph:
         for u, v, l in es:
             if u not in idset or v not in idset:
                 raise ValueError(f"edge ({u},{v}) has unknown endpoint")
-            if l <= 0:
+            if l.numerator <= 0:
                 raise ValueError(f"edge ({u},{v}) has non-positive length {l}")
         marks = [m for _, m in rs]
         if len(set(marks)) != len(marks):

@@ -17,6 +17,11 @@ before 2/5), so terms are kept in exponent order by value.  ``Fraction``
 stays at the boundary: ``from_terms`` and ``monomial`` take any rationals,
 and ``valuation`` and ``pairs`` give ``Fraction`` values back;
 ``__str__`` and ``element_to_json`` format the int tuples directly.
+``from_terms`` canonicalises in ints: it reads each rational as a
+(numerator, denominator) pair and hands the int terms to
+``canonical_terms``, the one canonicaliser, which the seeded samplers of
+``randfix`` call directly.  From ints and Fractions it builds no new
+``Fraction``.
 
 ``lead_diff(x, y)`` is the one valuation-of-a-difference primitive and the
 only walk over two term tuples side by side.  Without building x - y, it
@@ -25,7 +30,7 @@ val(x - y) and ``sign`` an int with the sign of the coefficient; None
 means x == y.  Joins read the exponent, the skeleton's ball order the sign
 too; ``eval_val`` walks a trie of the roots' term tuples instead (see
 ``points``).  The arithmetic operators merge canonical terms;
-``PuiseuxElement.from_terms`` canonicalises parsed and generated input.
+``canonical_terms`` canonicalises parsed and generated input.
 """
 
 from __future__ import annotations
@@ -33,13 +38,49 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .valq import INF, format_ratio, parse_rational
 
 
-def _term(q: Fraction, c: Fraction) -> tuple:
-    return (q.numerator, q.denominator, c.numerator, c.denominator)
+def _ratio(x) -> tuple:
+    """A rational as its (numerator, denominator) ints: an int as (x, 1),
+    a Fraction through its fields, anything else through ``Fraction(x)``."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def canonical_terms(terms) -> tuple:
+    """Canonical term tuples of the sum of ``(exp_num, exp_den, coeff_num,
+    coeff_den)`` int terms, each fraction with a positive denominator but
+    not necessarily reduced: like exponents merge by cross-multiplication,
+    zero sums drop, and the terms sort by the int key p*(L/q), where L is
+    the lcm of the exponent denominators."""
+    acc = {}
+    for p, q, a, b in terms:
+        g = gcd(p, q)
+        if g != 1:
+            p //= g
+            q //= g
+        old = acc.get((p, q))
+        if old is None:
+            acc[p, q] = a, b
+        elif old[1] == b:
+            acc[p, q] = old[0] + a, b
+        else:
+            acc[p, q] = old[0] * b + a * old[1], old[1] * b
+    out = []
+    for (p, q), (a, b) in acc.items():
+        if a:
+            g = gcd(a, b)
+            out.append((p, q, a // g, b // g))
+    if len(out) > 1:
+        m = lcm(*[t[1] for t in out])
+        out.sort(key=lambda t: t[0] * (m // t[1]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -50,14 +91,10 @@ class PuiseuxElement:
 
     @staticmethod
     def from_terms(pairs) -> "PuiseuxElement":
-        """Build in canonical form: merge like exponents, drop zeros."""
-        acc: dict[Fraction, Fraction] = {}
-        for q, c in pairs:
-            q = Fraction(q)
-            c = Fraction(c)
-            acc[q] = acc.get(q, Fraction(0)) + c
-        return PuiseuxElement(
-            tuple(_term(q, c) for q, c in sorted(acc.items()) if c))
+        """Build from (exponent, coefficient) rationals in canonical form:
+        merge like exponents, drop zeros (see ``canonical_terms``)."""
+        return PuiseuxElement(canonical_terms(
+            [(*_ratio(q), *_ratio(c)) for q, c in pairs]))
 
     @staticmethod
     def zero() -> "PuiseuxElement":
@@ -69,9 +106,8 @@ class PuiseuxElement:
 
     @staticmethod
     def monomial(coeff, exp) -> "PuiseuxElement":
-        coeff = Fraction(coeff)
         return PuiseuxElement(
-            (_term(Fraction(exp), coeff),) if coeff else ())
+            canonical_terms(((*_ratio(exp), *_ratio(coeff)),)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -196,7 +232,8 @@ def lead_diff(x, y):
 _TERM_RE = re.compile(
     r"""^(?P<coeff>\d+(?:/\d+)?)?                # optional rational coefficient
         \*?                                      # optional * before t
-        (?P<t>t(?:\^(?P<exp>\(?-?\d+(?:/\d+)?\)?))?)?$""",
+        (?P<t>t(?:\^(?P<exp>\(-?\d+(?:/\d+)?\)   # exponent (p/q) or p/q:
+                          |-?\d+(?:/\d+)?))?)?$""",  # both parentheses or none
     re.VERBOSE,
 )
 

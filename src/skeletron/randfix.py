@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .metric_graph import MetricGraph, euler_char
 from .points import INFINITY, RationalFunction, Type1, Type2
-from .puiseux import PuiseuxElement
+from .puiseux import PuiseuxElement, canonical_terms
 
 
 DEN_MAX = 4  # largest denominator of a drawn rational or exponent
@@ -18,11 +18,13 @@ def rand_rational(rng: random.Random, lo=-8, hi=8) -> Fraction:
 
 
 def rand_monomial(rng: random.Random) -> PuiseuxElement:
-    """Nonzero monomial c * t^(p/q) with exponent denominator <= DEN_MAX."""
-    c = Fraction(rng.choice([x for x in range(-5, 6) if x != 0]),
-                 rng.randint(1, 3))
-    q = Fraction(rng.randint(-4, 6), rng.randint(1, DEN_MAX))
-    return PuiseuxElement.monomial(c, q)
+    """Nonzero monomial c * t^(p/q) with exponent denominator <= DEN_MAX:
+    the coefficient's numerator and denominator, then the exponent's."""
+    a = rng.choice([x for x in range(-5, 6) if x != 0])
+    b = rng.randint(1, 3)
+    p = rng.randint(-4, 6)
+    q = rng.randint(1, DEN_MAX)
+    return PuiseuxElement(canonical_terms(((p, q, a, b),)))
 
 
 def rand_puiseux(rng: random.Random, max_terms=3) -> PuiseuxElement:
@@ -30,12 +32,13 @@ def rand_puiseux(rng: random.Random, max_terms=3) -> PuiseuxElement:
     one's denominator) and an exponent; a zero numerator adds no term."""
     terms = []
     for _ in range(rng.randint(0, max_terms)):
-        num = rng.randint(-6, 6)
-        if num:
-            coeff = Fraction(num, rng.randint(1, 4))
-            terms.append((Fraction(rng.randint(-4, 8), rng.randint(1, 4)),
-                          coeff))
-    return PuiseuxElement.from_terms(terms)
+        a = rng.randint(-6, 6)
+        if a:
+            b = rng.randint(1, 4)
+            p = rng.randint(-4, 8)
+            q = rng.randint(1, 4)
+            terms.append((p, q, a, b))
+    return PuiseuxElement(canonical_terms(terms))
 
 
 def rand_type2(rng: random.Random) -> Type2:

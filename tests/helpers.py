@@ -3,8 +3,10 @@ search, the canonicalising Puiseux arithmetic that the merge-based
 operators and ``lead_diff`` replace, the Fraction kernel and
 formatting that the int term tuples of ``puiseux`` replace, the all-pairs
 skeleton builders and anchor-scan retractions that the ball order in
-``skeleton`` replaces, the
-retraction sampler that ``randfix.rand_type2`` replaces, and the
+``skeleton`` replaces, the Fraction dict-and-sort ``from_terms`` that
+``puiseux.canonical_terms`` replaces, the Fraction-built samplers that the
+int draws of ``randfix`` replace, including the retraction sampler that
+``randfix.rand_type2`` replaces, and the
 rescan-and-rebuild stabilization that the incidence index in ``stable``
 replaces, the per-vertex edge and ray scans (weight, valence, incident
 edges, prune counts, connectivity, Dijkstra) that
@@ -24,7 +26,8 @@ from math import gcd
 from skeletron.metric_graph import MetricGraph, euler_char
 from skeletron.newton import Breakpoint, eval_trop
 from skeletron.oracle import tropicalize
-from skeletron.points import Type1, Type2, eval_val, join, path_distance
+from skeletron.points import (
+    RationalFunction, Type1, Type2, eval_val, join, path_distance)
 from skeletron.puiseux import PuiseuxElement, lead_diff
 from skeletron.skeleton import SkeletonTree, puncture_label
 from skeletron.slopes import _as_int
@@ -126,17 +129,29 @@ def is_canonical(x: PuiseuxElement) -> bool:
     ) and all(u[0] < v[0] for u, v in zip(pairs, pairs[1:]))
 
 
+def ref_from_terms(pairs) -> PuiseuxElement:
+    """``PuiseuxElement.from_terms`` as it stood before it canonicalised in
+    ints: Fraction sums in a dict, then a sort by exponent."""
+    acc: dict[Fraction, Fraction] = {}
+    for q, c in pairs:
+        q = Fraction(q)
+        c = Fraction(c)
+        acc[q] = acc.get(q, Fraction(0)) + c
+    return PuiseuxElement(
+        tuple((q.numerator, q.denominator, c.numerator, c.denominator)
+              for q, c in sorted(acc.items()) if c))
+
+
 def ref_add(x: PuiseuxElement, y: PuiseuxElement) -> PuiseuxElement:
-    return PuiseuxElement.from_terms(x.pairs() + y.pairs())
+    return ref_from_terms(x.pairs() + y.pairs())
 
 
 def ref_sub(x: PuiseuxElement, y: PuiseuxElement) -> PuiseuxElement:
-    return ref_add(x, PuiseuxElement.from_terms(
-        (q, -c) for q, c in y.pairs()))
+    return ref_add(x, ref_from_terms((q, -c) for q, c in y.pairs()))
 
 
 def ref_mul(x: PuiseuxElement, y: PuiseuxElement) -> PuiseuxElement:
-    return PuiseuxElement.from_terms(
+    return ref_from_terms(
         (q1 + q2, c1 * c2)
         for q1, c1 in x.pairs() for q2, c2 in y.pairs()
     )
@@ -447,9 +462,46 @@ def ref_random_type2(rng: random.Random) -> Type2:
         den = rng.randint(1, 4)
         exp = Fraction(rng.randint(-4, 8), rng.randint(1, 4))
         terms.append((exp, Fraction(num, den)))
-    center = PuiseuxElement.from_terms(terms)
+    center = ref_from_terms(terms)
     s = Fraction(rng.randint(-12, 20), rng.randint(1, 4))
     return Type2(center, s)
+
+
+# The ``randfix`` samplers as they stood before they drew int terms: the
+# same draws in the same order, built as Fractions and canonicalised by
+# ``ref_from_terms``.
+
+def ref_rand_monomial(rng: random.Random) -> PuiseuxElement:
+    c = Fraction(rng.choice([x for x in range(-5, 6) if x != 0]),
+                 rng.randint(1, 3))
+    q = Fraction(rng.randint(-4, 6), rng.randint(1, 4))
+    return ref_from_terms([(q, c)])
+
+
+def ref_rand_puiseux(rng: random.Random, max_terms=3) -> PuiseuxElement:
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        num = rng.randint(-6, 6)
+        if num:
+            coeff = Fraction(num, rng.randint(1, 4))
+            terms.append((Fraction(rng.randint(-4, 8), rng.randint(1, 4)),
+                          coeff))
+    return ref_from_terms(terms)
+
+
+def ref_rand_rational_function(rng: random.Random,
+                               max_roots=6) -> RationalFunction:
+    k = rng.randint(1, max_roots)
+    roots = []
+    if rng.random() < 0.4:
+        roots.append(PuiseuxElement.zero())
+    while len(roots) < k:
+        cand = ref_rand_monomial(rng)
+        if all(cand != r for r in roots):
+            roots.append(cand)
+    factors = [(r, rng.choice([-3, -2, -1, 1, 2, 3])) for r in roots]
+    lead = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+    return RationalFunction.make(lead, factors)
 
 
 def two_term_roots(rng: random.Random, n: int, clustered: bool):
@@ -467,7 +519,7 @@ def two_term_roots(rng: random.Random, n: int, clustered: bool):
         q1 = exps[i % groups]
         c1 = leads[i % groups] if clustered else rng.choice(coeffs)
         gap = Fraction(rng.randint(1, 400), rng.randint(1, 6))
-        roots.add(PuiseuxElement.from_terms(
+        roots.add(ref_from_terms(
             [(q1, c1), (q1 + gap, rng.choice(coeffs))]))
     return sorted(roots, key=PuiseuxElement.pairs)
 

@@ -16,8 +16,9 @@ END_TO_END = [
 ]
 
 
-def _run(workload, seed, side, ips, p50, correct=True):
+def _run(workload, seed, side, ips, p50, correct=True, wall=30.0):
     return {"workload": workload, "seed": seed, "side": side,
+            "wall_s": wall,
             "result": {"correct": correct, "attempted": 10, "failed": 0,
                        "metrics": {
                            "items_per_s": {"value": ips, "unit": "1/ref_s"},
@@ -51,3 +52,27 @@ def test_summary_of_canned_runs():
     assert p50["unit"] == "ref_ms"
     assert out["v"]["correct"] is False
     assert out["v"]["metrics"]["items_per_s"]["change_wins"] == 0
+
+
+def test_summary_records_wall_time():
+    runs = [
+        _run("w", 2, "parent", 10.0, 50.0, wall=31.5),
+        _run("w", 2, "change", 12.0, 40.0, wall=29.0),
+        _run("w", 1, "change", 12.0, 40.0, wall=28.0),
+        _run("w", 1, "parent", 10.0, 50.0, wall=30.5),
+    ]
+    wall = bench_pairs.summarize(runs, END_TO_END)["w"]["wall_s"]
+    # values in seed order, summed per side
+    assert wall == {"parent": {"values": [30.5, 31.5], "sum": 62.0},
+                    "change": {"values": [28.0, 29.0], "sum": 57.0}}
+
+
+def test_run_once_times_the_run(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, time\n"
+        "time.sleep(0.2)\n"
+        "print(json.dumps({'correct': True}))\n")
+    result, wall = bench_pairs.run_once(tmp_path, "w", 1, 0.1)
+    assert result == {"correct": True}
+    assert 0.2 <= wall < 30

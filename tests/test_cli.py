@@ -55,6 +55,20 @@ def test_newton(capsys):
     assert data["unit"] == {"d": 0, "val_alpha": "1"}
 
 
+@pytest.mark.parametrize("interval, breakpoints", [
+    ("-1,2", [{"s": "1", "slope_left": 1, "slope_right": 0}]),
+    ("-inf,0", []),
+    ("-inf,+inf", [{"s": "1", "slope_left": 1, "slope_right": 0}]),
+])
+def test_newton_interval_with_negative_bound(interval, breakpoints, capsys):
+    # a separate value that begins with '-' is the interval, not an option
+    f = {"terms": [{"n": 0, "v": "1"}, {"n": 1, "v": "0"}]}
+    assert run(["newton", "--f", json.dumps(f), "--interval", interval]) == 0
+    assert json.loads(capsys.readouterr().out)["breakpoints"] == breakpoints
+    assert run(["newton", "--interval", interval, "--f", json.dumps(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["breakpoints"] == breakpoints
+
+
 def test_eval(capsys):
     point = {"type": 2, "center": [], "s": "0"}
     assert run(["eval", "--f", json.dumps(T_FUNC), "--point",

@@ -5,13 +5,21 @@ from hypothesis import example, given, strategies as st
 
 from skeletron.puiseux import (
     PuiseuxElement,
+    canonical_terms,
     element_from_json,
     element_to_json,
     parse_element,
 )
 from skeletron.valq import INF
 
-from helpers import ref_add, ref_mul, ref_sub, val_diff
+from helpers import (
+    is_canonical,
+    ref_add,
+    ref_from_terms,
+    ref_mul,
+    ref_sub,
+    val_diff,
+)
 
 t = PuiseuxElement.monomial(1, 1)
 one = PuiseuxElement.constant(1)
@@ -63,7 +71,9 @@ def test_parse_variants():
 
 def test_parse_rejects_garbage():
     # a zero denominator is a ValueError too, not a ZeroDivisionError
-    for bad in ("", "t+", "x^2", "1**t", "1/0*t", "t^(1/0)", "3 - t^2/0"):
+    # and an exponent takes both parentheses or neither
+    for bad in ("", "t+", "x^2", "1**t", "1/0*t", "t^(1/0)", "3 - t^2/0",
+                "t^(1/2", "t^1/2)"):
         with pytest.raises(ValueError):
             parse_element(bad)
 
@@ -149,3 +159,51 @@ def test_fast_arithmetic_matches_reference(pair):
     assert (x + y).terms == ref_add(x, y).terms
     assert (x - y).terms == ref_sub(x, y).terms
     assert (x * y).terms == ref_mul(x, y).terms
+
+
+# Every kind of rational that from_terms reads: ints, Fractions, and floats
+# and strings through the Fraction(x) fallback.
+any_rational = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(max_denominator=8, min_value=-12, max_value=12),
+    st.integers(-48, 48).map(lambda n: n / 4),
+    st.fractions(max_denominator=8, min_value=-12, max_value=12).map(str),
+)
+
+
+@st.composite
+def raw_term_lists(draw):
+    """(exponent, coefficient) lists where some terms repeat an exponent,
+    some of them with the negated coefficient, so sums cancel to zero."""
+    terms = draw(st.lists(st.tuples(any_rational, any_rational), max_size=6))
+    for q, c in draw(st.lists(st.sampled_from(terms), max_size=4)
+                     if terms else st.just([])):
+        terms.append((q, -Fraction(c) if draw(st.booleans()) else c))
+    return draw(st.permutations(terms))
+
+
+@given(raw_term_lists())
+@example([])
+@example([(1, 2), (Fraction(2, 2), -2)])
+@example([("1/2", 0.5), (0.5, "-1/2"), (0, 3)])
+@example([(Fraction(-1, 3), 1), (Fraction(1, 2), 1), (Fraction(-1, 2), 1)])
+def test_from_terms_matches_reference(pairs):
+    x = PuiseuxElement.from_terms(pairs)
+    assert x.terms == ref_from_terms(pairs).terms
+    assert is_canonical(x)
+
+
+int_terms = st.lists(st.tuples(
+    st.integers(-24, 24), st.integers(1, 12),
+    st.integers(-24, 24), st.integers(1, 12)), max_size=6)
+
+
+@given(int_terms)
+@example([])
+@example([(2, 4, 3, 6), (1, 2, -2, 4), (0, 5, 0, 3)])
+@example([(3, 6, 1, 2), (-2, 4, 1, 2), (0, 2, 4, 8)])
+def test_canonical_terms_reduces_unreduced_pairs(terms):
+    x = PuiseuxElement(canonical_terms(terms))
+    assert x == ref_from_terms(
+        (Fraction(p, q), Fraction(a, b)) for p, q, a, b in terms)
+    assert is_canonical(x)

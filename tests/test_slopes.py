@@ -14,6 +14,8 @@ from skeletron.points import (
 from skeletron.puiseux import PuiseuxElement
 from skeletron.randfix import (
     punctures_of,
+    rand_monomial,
+    rand_puiseux,
     rand_rational,
     rand_rational_function,
     rand_roots,
@@ -22,7 +24,14 @@ from skeletron.randfix import (
 from skeletron.skeleton import build_skeleton_tree
 from skeletron.slopes import compute_F, verify_slope_formula
 
-from helpers import ref_random_type2, ref_ray_slope, two_term_roots
+from helpers import (
+    ref_rand_monomial,
+    ref_rand_puiseux,
+    ref_rand_rational_function,
+    ref_random_type2,
+    ref_ray_slope,
+    two_term_roots,
+)
 
 ZERO = PuiseuxElement.zero()
 ONE = PuiseuxElement.constant(1)
@@ -231,10 +240,17 @@ def test_random_functions_all_certify():
 
 
 def test_rand_type2_reproduces_retraction_sampler():
-    # certificates draw their retraction samples from rand_type2; the
-    # sampler it replaced must give the same points from the same seed
-    for seed in range(500):
-        a, b = random.Random(seed), random.Random(seed)
-        for _ in range(20):
-            assert rand_type2(a) == ref_random_type2(b)
-        assert a.getstate() == b.getstate()
+    # certificates draw their retraction samples from rand_type2 and their
+    # functions from rand_rational_function; the Fraction-built samplers
+    # they replaced must give the same values from the same seed, through
+    # the same draws; a rational function draws up to six monomials
+    for sampler, reference, draws in (
+            (rand_type2, ref_random_type2, 20),
+            (rand_puiseux, ref_rand_puiseux, 20),
+            (rand_monomial, ref_rand_monomial, 20),
+            (rand_rational_function, ref_rand_rational_function, 4)):
+        for seed in range(500):
+            a, b = random.Random(seed), random.Random(seed)
+            for _ in range(draws):
+                assert sampler(a) == reference(b)
+            assert a.getstate() == b.getstate()
